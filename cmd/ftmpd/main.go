@@ -48,6 +48,10 @@ import (
 	"ftmp/internal/wire"
 )
 
+// mmsgVector is the sendmmsg/recvmmsg vector size, at the transport
+// and in the runtime's send shards.
+const mmsgVector = 32
+
 func main() {
 	var (
 		idFlag    = flag.Uint("id", 1, "processor id (unique, nonzero)")
@@ -68,17 +72,9 @@ func main() {
 			"total-order mode: lamport (symmetric timestamp order) or leader (FTMP 1.3 leader-assigned sequencing; all members must agree)")
 		quorum = flag.Bool("quorum", false,
 			"primary-partition membership: only install views containing a quorum of the previous view; a minority component wedges instead of splitting the brain")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		recvWorkers = flag.Int("recv-workers", 0,
-			"pipelined runtime: number of parallel receive/decode workers (0: classic single-threaded loop). Also enables the async ordered-delivery executor, WAL group commit and sharded sends")
-		walBatch = flag.Int("wal-batch", 64,
-			"pipelined runtime: max deliveries group-committed per WAL fsync (with -recv-workers > 0 and -wal-dir)")
+		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		compactEvery = flag.Duration("compact-every", 0,
 			"with -wal-dir: checkpoint and truncate the WAL at the group's stability cut on this interval (0: never). Bounds restart replay to the post-checkpoint suffix")
-		batchRecv = flag.Int("batch-recv", 0,
-			"mesh transport: drain up to this many datagrams per recvmmsg syscall (0 or 1: one recvfrom per datagram; non-linux builds fall back automatically)")
-		batchSend = flag.Int("batch-send", 0,
-			"with -recv-workers > 0: coalesce up to this many queued frames per sendmmsg syscall in each send shard (0 or 1: one sendto per frame)")
 	)
 	flag.Parse()
 
@@ -183,44 +179,33 @@ func main() {
 			}
 			out.Flush()
 		}
-		if *recvWorkers == 0 {
-			// Classic loop: write-ahead synchronously on the loop
-			// goroutine. The pipelined runtime instead hands the log to
-			// the delivery executor for group commit (below).
-			cb = runtime.WrapDurable(log, cb, func(err error) {
-				fmt.Fprintf(os.Stderr, "ftmpd: wal: %v\n", err)
-			})
-		}
 	}
 
-	opts := runtime.Options{}
-	if *recvWorkers > 0 {
-		opts.RecvWorkers = *recvWorkers
-		opts.DeliveryDepth = 1024
-		opts.SendShards = 2
-		opts.SendBatch = *batchSend
-		if log != nil {
-			opts.WAL = log
-			opts.WALBatch = *walBatch
-			opts.OnWALError = func(err error) {
-				fmt.Fprintf(os.Stderr, "ftmpd: wal: %v\n", err)
-			}
-		}
-	}
-
-	if *batchSend > 1 && *recvWorkers == 0 {
-		fmt.Fprintln(os.Stderr, "ftmpd: -batch-send needs the pipelined runtime (-recv-workers > 0); sends stay unbatched")
+	// Every stage of the runtime runs wide: parallel decode, upcalls
+	// (and the WAL's group commit) on the delivery executor, sharded
+	// sends drained in sendmmsg vectors. Hosts without sendmmsg/recvmmsg
+	// fall back to single syscalls inside the transport.
+	opts := runtime.Options{
+		RecvWorkers:   4,
+		DeliveryDepth: 1024,
+		SendShards:    2,
+		SendBatch:     mmsgVector,
+		WAL:           log,
+		WALBatch:      64,
+		OnWALError: func(err error) {
+			fmt.Fprintf(os.Stderr, "ftmpd: wal: %v\n", err)
+		},
 	}
 
 	mk := func(h transport.Handler) (transport.Transport, error) {
 		switch *trFlag {
 		case "multicast":
 			mc := transport.NewUDPMulticast(h)
-			mc.SetSendBatch(*batchSend)
+			mc.SetSendBatch(mmsgVector)
 			return mc, nil
 		case "mesh":
 			mesh, err := transport.NewUDPMeshConfig(*listen, h,
-				transport.MeshConfig{RecvBatch: *batchRecv, SendBatch: *batchSend})
+				transport.MeshConfig{RecvBatch: mmsgVector, SendBatch: mmsgVector})
 			if err != nil {
 				return nil, err
 			}
@@ -332,7 +317,7 @@ func main() {
 	leave := func(why string) {
 		once.Do(func() {
 			fmt.Fprintf(os.Stderr, "ftmpd: %s, leaving group %v\n", why, group)
-			shutdown(r, group, log, *recvWorkers > 0)
+			shutdown(r, group, log)
 		})
 	}
 	sigC := make(chan os.Signal, 1)
@@ -414,25 +399,12 @@ func main() {
 // until the removal is stable and the node has gone silent, log the
 // final recovery point, then print the robustness counters accumulated
 // over the process lifetime and exit.
-func shutdown(r *runtime.Runner, group ids.GroupID, log *wal.Log, pipelined bool) {
-	// With the pipelined runtime the delivery executor owns the log
-	// (group commit); syncing means draining the executor through its
-	// barrier, not touching the log from the loop.
-	walSync := func() {
-		if log == nil {
-			return
-		}
-		var err error
-		if pipelined {
-			err = r.WALSync()
-		} else {
-			r.Do(func(*core.Node, int64) { err = log.Sync() })
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftmpd: wal sync: %v\n", err)
-		}
+func shutdown(r *runtime.Runner, group ids.GroupID, log *wal.Log) {
+	// The delivery executor owns the log; syncing means draining the
+	// executor through its barrier.
+	if err := r.WALSync(); err != nil {
+		fmt.Fprintf(os.Stderr, "ftmpd: wal sync: %v\n", err)
 	}
-	walSync()
 	r.Do(func(node *core.Node, now int64) {
 		if err := node.Leave(now, group); err != nil {
 			fmt.Fprintf(os.Stderr, "ftmpd: leave: %v\n", err)
@@ -451,10 +423,9 @@ func shutdown(r *runtime.Runner, group ids.GroupID, log *wal.Log, pipelined bool
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	// The departure itself appended view records; make them durable,
-	// stop the pipeline (Close drains the executor, including its final
-	// group commit and sync), and report where a restart would resume.
-	walSync()
+	// The departure itself appended view records: stop the pipeline
+	// (Close drains the executor, including its final group commit and
+	// sync) and report where a restart would resume.
 	r.Close()
 	if log != nil {
 		seg, off, synced := log.RecoveryPoint()

@@ -47,7 +47,7 @@ import (
 func (f *Infra) OnViewChange(v core.ViewChange, now int64) {
 	// Every installed view is a durable membership epoch: cold start
 	// recreates the group at the last logged one (core.CreateGroupAt).
-	// A wedge is NOT an installed view — runtime.WrapDurable logs the
+	// A wedge is NOT an installed view — the runtime's executor logs the
 	// wedge point instead, and logging an epoch here would clear it.
 	if v.Reason == core.ViewWedge {
 		return

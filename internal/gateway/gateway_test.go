@@ -117,7 +117,7 @@ func buildWorldOpts(t *testing.T, connect bool) *world {
 			m, e := transport.NewUDPMesh("127.0.0.1:0", h)
 			mesh = m
 			return m, e
-		}, runtime.Options{Tick: 500 * time.Microsecond})
+		}, runtime.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,20 +1,18 @@
 package harness
 
-// Experiment E14: the pipelined runtime datapath, end to end.
+// Experiment E14: the runtime datapath, narrow against wide, end to end.
 //
-// Unlike E1-E13, which run on the deterministic simulated network, E14
-// measures the real runtime over real UDP sockets on the loopback
-// interface with a real write-ahead log (fsync=always on a temporary
-// directory). Three durable replicas form a group; one of them
+// Three durable replicas (see live.go) form a group; one of them
 // multicasts a windowed stream of small messages and we measure the
 // sustained totally-ordered, durable delivery rate plus the
 // send-to-deliver latency distribution at the sender.
 //
 // Two modes run back to back on identical hardware:
 //
-//	baseline  — the classic single-threaded loop: decode, protocol,
-//	            WAL append + fsync (WrapDurable) and the application
-//	            callback all on one goroutine, one fsync per delivery.
+//	baseline  — runtime.Options{WAL: log}: every stage at width 0, so
+//	            decode, protocol, WAL commit + fsync and the application
+//	            callback all run on the loop goroutine, one fsync per
+//	            delivery.
 //	pipelined — parallel receive/decode workers, async ordered delivery
 //	            executor with WAL group commit (one fsync per batch),
 //	            sharded sends.
@@ -24,20 +22,11 @@ package harness
 // latency percentiles (batching must not wreck tail latency).
 
 import (
-	"encoding/binary"
 	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"ftmp/internal/core"
 	"ftmp/internal/ids"
-	"ftmp/internal/runtime"
 	"ftmp/internal/trace"
-	"ftmp/internal/transport"
-	"ftmp/internal/wal"
-	"ftmp/internal/wire"
 )
 
 // E14Result is one mode's measurement.
@@ -50,14 +39,13 @@ type E14Result struct {
 	Fsyncs        uint64
 	GroupCommits  uint64
 	RxDrops       uint64
+	Delivered     []int64 // payload messages each replica delivered, warm-up included
 	Err           error
 }
 
 const (
-	e14Group   = ids.GroupID(1400)
-	e14Window  = 128 // sender keeps this many messages in flight
-	e14Warmup  = 50  // unmeasured messages to settle the group first
-	e14Payload = 64  // bytes per message (seq in the first 8)
+	e14Group  = ids.GroupID(1400)
+	e14Window = 128 // sender keeps this many messages in flight
 )
 
 // RunE14 measures one mode. pipelined selects the runtime datapath;
@@ -71,195 +59,51 @@ func RunE14(pipelined bool, msgs int) E14Result {
 	fail := func(err error) E14Result { res.Err = err; return res }
 
 	trace.ResetCounters()
-	const n = 3
-	members := ids.NewMembership(1, 2, 3)
-
-	type e14node struct {
-		r    *runtime.Runner
-		mesh *transport.UDPMesh
-		log  *wal.Log
-		dir  string
-		got  atomic.Int64 // payload messages delivered
-	}
-	nodes := make([]*e14node, n)
-
-	// Latency bookkeeping: the sender stamps each sequence number before
-	// handing it to the loop; its own Deliver callback reads the stamp.
-	sendTimes := make([]int64, e14Warmup+msgs)
-	var latencies trace.Histogram
-	var latMu sync.Mutex
-	senderDone := make(chan struct{})
-	var senderDoneOnce sync.Once
-
-	defer func() {
-		for _, nd := range nodes {
-			if nd == nil {
-				continue
-			}
-			if nd.r != nil {
-				nd.r.Close()
-			}
-			if nd.log != nil {
-				_ = nd.log.Close()
-			}
-			if nd.dir != "" {
-				_ = os.RemoveAll(nd.dir)
-			}
-		}
-	}()
-
-	total := e14Warmup + msgs
-	for i := 0; i < n; i++ {
-		nd := &e14node{}
-		nodes[i] = nd
-		p := ids.ProcessorID(i + 1)
-
-		dir, err := os.MkdirTemp("", fmt.Sprintf("ftmp-e14-%s-p%d-", mode, p))
-		if err != nil {
-			return fail(err)
-		}
-		nd.dir = dir
-		dfs, err := wal.NewDirFS(dir)
-		if err != nil {
-			return fail(err)
-		}
-		nd.log, _, err = wal.Open(wal.Config{
-			FS:     dfs,
-			Policy: wal.SyncAlways,
-			Now:    func() int64 { return time.Now().UnixNano() },
-		})
-		if err != nil {
-			return fail(err)
-		}
-
-		cfg := core.DefaultConfig(p)
-		cfg.PGMP.SuspectTimeout = 5_000_000_000 // no convictions under load
-		cb := core.Callbacks{
-			Transmit: func(wire.MulticastAddr, []byte) {}, // installed by the runner
-			Deliver: func(d core.Delivery) {
-				if len(d.Payload) != e14Payload {
-					return
-				}
-				seq := int64(binary.BigEndian.Uint64(d.Payload))
-				if i == 0 && seq >= e14Warmup {
-					lat := float64(time.Now().UnixNano()-atomic.LoadInt64(&sendTimes[seq])) / 1e6
-					latMu.Lock()
-					latencies.Add(lat)
-					latMu.Unlock()
-				}
-				if nd.got.Add(1) == int64(total) && i == 0 {
-					senderDoneOnce.Do(func() { close(senderDone) })
-				}
-			},
-		}
-		opts := runtime.Options{}
-		if pipelined {
-			opts = runtime.Options{
-				RecvWorkers:   4,
-				DeliveryDepth: 1024,
-				SendShards:    2,
-				WAL:           nd.log,
-				WALBatch:      64,
-			}
-		} else {
-			cb = runtime.WrapDurable(nd.log, cb, nil)
-		}
-		nd.r, err = runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
-			m, err := transport.NewUDPMesh("127.0.0.1:0", h)
-			nd.mesh = m
-			return m, err
-		}, opts)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if err := a.mesh.AddPeer(b.mesh.LocalAddr()); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	for _, nd := range nodes {
-		nd.r.Do(func(node *core.Node, now int64) {
-			node.CreateGroup(now, e14Group, members)
-		})
+	c, err := newLiveCluster(liveSpec{name: "e14-" + mode, n: 3, group: e14Group, msgs: msgs, wide: pipelined})
+	defer c.close()
+	if err != nil {
+		return fail(err)
 	}
 
-	// Windowed sender: at most e14Window messages beyond the slowest
-	// count this node has delivered itself; retries when the core's send
-	// queue pushes back. Warmup messages settle membership and JIT-warm
-	// the path before the clock starts.
-	sender := nodes[0]
+	// Windowed sender: at most e14Window messages beyond the count this
+	// node has delivered itself; retries when the core's send queue
+	// pushes back.
+	sender := c.nodes[0]
 	send := func(seq int) error {
-		payload := make([]byte, e14Payload)
-		binary.BigEndian.PutUint64(payload, uint64(seq))
 		for {
 			for int64(seq)-sender.got.Load() >= e14Window {
 				time.Sleep(50 * time.Microsecond)
 			}
-			var err error
-			atomic.StoreInt64(&sendTimes[seq], time.Now().UnixNano())
-			sender.r.Do(func(node *core.Node, now int64) {
-				err = node.Multicast(now, e14Group, ids.ConnectionID{}, 0, payload)
-			})
-			if err == nil {
+			if c.sendPlain(seq) == nil {
 				return nil
 			}
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-	for seq := 0; seq < e14Warmup; seq++ {
-		if err := send(seq); err != nil {
-			return fail(err)
-		}
+	if err := c.warmup(send); err != nil {
+		return fail(err)
 	}
-	deadline := time.Now().Add(30 * time.Second)
-	for sender.got.Load() < e14Warmup {
-		if time.Now().After(deadline) {
-			return fail(fmt.Errorf("warmup never delivered (%d/%d)", sender.got.Load(), e14Warmup))
-		}
-		time.Sleep(time.Millisecond)
-	}
-
 	start := time.Now()
-	for seq := e14Warmup; seq < total; seq++ {
-		if err := send(seq); err != nil {
-			return fail(err)
-		}
+	for seq := liveWarmup; seq < c.total; seq++ {
+		_ = send(seq)
 	}
-	select {
-	case <-senderDone:
-	case <-time.After(120 * time.Second):
-		return fail(fmt.Errorf("measured stream never completed (%d/%d)", sender.got.Load(), int64(total)))
+	elapsed, err := c.complete(start)
+	if err == nil {
+		err = c.stop()
 	}
-	elapsed := time.Since(start)
-
-	// Let the other replicas finish before counting their fsyncs.
-	deadline = time.Now().Add(30 * time.Second)
-	for nodes[1].got.Load() < int64(total) || nodes[2].got.Load() < int64(total) {
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for _, nd := range nodes {
-		if pipelined {
-			if err := nd.r.WALSync(); err != nil {
-				return fail(err)
-			}
-		}
-		nd.r.Close()
+	if err != nil {
+		return fail(err)
 	}
 
 	res.Seconds = elapsed.Seconds()
 	res.Throughput = float64(msgs) / res.Seconds
-	res.P50 = latencies.P50()
-	res.P95 = latencies.P95()
-	res.P99 = latencies.P99()
+	res.P50 = c.lat.P50()
+	res.P95 = c.lat.P95()
+	res.P99 = c.lat.P99()
 	res.Fsyncs = trace.Counter("wal.fsyncs")
 	res.GroupCommits = trace.Counter("wal.group_commits")
 	res.RxDrops = trace.Counter("runtime.rx_overflow_drops")
+	res.Delivered = c.delivered()
 	return res
 }
 

@@ -11,8 +11,8 @@ package harness
 // owning a distinct virtual ConnectionID (connection-ID virtualization
 // over one runner, as a client-scale gateway would do).
 //
-// Two modes run back to back, both on the pipelined runtime over real
-// UDP loopback with fsync=always WALs on three durable replicas:
+// Two modes run back to back, both with every runtime stage wide, on
+// three durable replicas (see live.go):
 //
 //	unbatched — one sendto/recvfrom kernel crossing per datagram
 //	            (every prior experiment's transport behavior).
@@ -27,20 +27,10 @@ package harness
 // wreck the tail).
 
 import (
-	"encoding/binary"
 	"fmt"
-	"os"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"ftmp/internal/core"
 	"ftmp/internal/ids"
-	"ftmp/internal/runtime"
 	"ftmp/internal/trace"
-	"ftmp/internal/transport"
-	"ftmp/internal/wal"
-	"ftmp/internal/wire"
 )
 
 // E16Result is one mode's measurement.
@@ -58,14 +48,13 @@ type E16Result struct {
 	Sendmmsg     uint64  // vectored send calls (batched mode only)
 	Recvmmsg     uint64  // vectored receive calls (batched mode only)
 	RxDrops      uint64
+	Delivered    []int64 // payload messages each replica delivered, warm-up included
 	Err          error
 }
 
 const (
-	e16Group   = ids.GroupID(1600)
-	e16Warmup  = 50 // unmeasured messages to settle the group first
-	e16Payload = 64 // bytes per message (seq in the first 8)
-	e16Vector  = 32 // send/recv vector size in batched mode
+	e16Group  = ids.GroupID(1600)
+	e16Vector = 32 // send/recv vector size in batched mode
 )
 
 // RunE16 measures one mode: clients virtual connections offering rate
@@ -84,222 +73,68 @@ func RunE16(batched bool, clients, msgs int, rate float64) E16Result {
 	}
 
 	trace.ResetCounters()
-	const n = 3
-	members := ids.NewMembership(1, 2, 3)
-
-	type e16node struct {
-		r    *runtime.Runner
-		mesh *transport.UDPMesh
-		log  *wal.Log
-		dir  string
-		got  atomic.Int64 // payload messages delivered
+	spec := liveSpec{name: "e16-" + mode, n: 3, group: e16Group, msgs: msgs, wide: true}
+	if batched {
+		spec.vector = e16Vector
 	}
-	nodes := make([]*e16node, n)
-
-	sendTimes := make([]int64, e16Warmup+msgs)
-	var latencies trace.Histogram
-	var latMu sync.Mutex
-	senderDone := make(chan struct{})
-	var senderDoneOnce sync.Once
-
-	defer func() {
-		for _, nd := range nodes {
-			if nd == nil {
-				continue
-			}
-			if nd.r != nil {
-				nd.r.Close()
-			}
-			if nd.log != nil {
-				_ = nd.log.Close()
-			}
-			if nd.dir != "" {
-				_ = os.RemoveAll(nd.dir)
-			}
-		}
-	}()
-
-	total := e16Warmup + msgs
-	for i := 0; i < n; i++ {
-		nd := &e16node{}
-		nodes[i] = nd
-		p := ids.ProcessorID(i + 1)
-
-		dir, err := os.MkdirTemp("", fmt.Sprintf("ftmp-e16-%s-p%d-", mode, p))
-		if err != nil {
-			return fail(err)
-		}
-		nd.dir = dir
-		dfs, err := wal.NewDirFS(dir)
-		if err != nil {
-			return fail(err)
-		}
-		nd.log, _, err = wal.Open(wal.Config{
-			FS:     dfs,
-			Policy: wal.SyncAlways,
-			Now:    func() int64 { return time.Now().UnixNano() },
-		})
-		if err != nil {
-			return fail(err)
-		}
-
-		cfg := core.DefaultConfig(p)
-		cfg.PGMP.SuspectTimeout = 5_000_000_000 // no convictions under load
-		cb := core.Callbacks{
-			Transmit: func(wire.MulticastAddr, []byte) {}, // installed by the runner
-			Deliver: func(d core.Delivery) {
-				if len(d.Payload) != e16Payload {
-					return
-				}
-				seq := int64(binary.BigEndian.Uint64(d.Payload))
-				if i == 0 && seq >= e16Warmup {
-					lat := float64(time.Now().UnixNano()-atomic.LoadInt64(&sendTimes[seq])) / 1e6
-					latMu.Lock()
-					latencies.Add(lat)
-					latMu.Unlock()
-				}
-				if nd.got.Add(1) == int64(total) && i == 0 {
-					senderDoneOnce.Do(func() { close(senderDone) })
-				}
-			},
-		}
-		opts := runtime.Options{
-			RecvWorkers:   4,
-			DeliveryDepth: 1024,
-			SendShards:    2,
-			WAL:           nd.log,
-			WALBatch:      64,
-		}
-		if batched {
-			opts.SendBatch = e16Vector
-		}
-		nd.r, err = runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
-			var mcfg transport.MeshConfig
-			if batched {
-				mcfg = transport.MeshConfig{RecvBatch: e16Vector, SendBatch: e16Vector}
-			}
-			m, err := transport.NewUDPMeshConfig("127.0.0.1:0", h, mcfg)
-			nd.mesh = m
-			return m, err
-		}, opts)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if err := a.mesh.AddPeer(b.mesh.LocalAddr()); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	for _, nd := range nodes {
-		nd.r.Do(func(node *core.Node, now int64) {
-			node.CreateGroup(now, e16Group, members)
-		})
+	c, err := newLiveCluster(spec)
+	defer c.close()
+	if err != nil {
+		return fail(err)
 	}
 
 	// The generator: seq c (mod clients) belongs to virtual client c,
 	// which carries its own ConnectionID and per-connection request
 	// counter, so the group sees N interleaved client conversations.
-	sender := nodes[0]
 	reqNums := make([]ids.RequestNum, clients)
 	send := func(seq int) error {
-		c := seq % clients
-		conn := ids.ConnectionID{
-			ClientDomain: ids.DomainID(100 + c),
-			ClientGroup:  ids.ObjectGroupID(c + 1),
+		cl := seq % clients
+		reqNums[cl]++
+		return c.send(seq, ids.ConnectionID{
+			ClientDomain: ids.DomainID(100 + cl),
+			ClientGroup:  ids.ObjectGroupID(cl + 1),
 			ServerDomain: 1,
 			ServerGroup:  1,
-		}
-		reqNums[c]++
-		payload := make([]byte, e16Payload)
-		binary.BigEndian.PutUint64(payload, uint64(seq))
-		var err error
-		atomic.StoreInt64(&sendTimes[seq], time.Now().UnixNano())
-		sender.r.Do(func(node *core.Node, now int64) {
-			err = node.Multicast(now, e16Group, conn, reqNums[c], payload)
-		})
-		return err
+		}, reqNums[cl])
 	}
-
-	// Warmup is closed-loop: settle membership and warm the path.
-	for seq := 0; seq < e16Warmup; seq++ {
-		if err := send(seq); err != nil {
-			return fail(err)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for sender.got.Load() < e16Warmup {
-		if time.Now().After(deadline) {
-			return fail(fmt.Errorf("warmup never delivered (%d/%d)", sender.got.Load(), e16Warmup))
-		}
-		time.Sleep(time.Millisecond)
+	if err := c.warmup(send); err != nil {
+		return fail(err)
 	}
 
 	// Snapshot the syscall counters so the measured window excludes
 	// setup and warmup traffic.
 	txBefore := trace.Counter("transport.tx_syscalls")
 	rxBefore := trace.Counter("transport.rx_syscalls")
-	gotBefore := int64(0)
-	for _, nd := range nodes {
-		gotBefore += nd.got.Load()
+	deliveries := func() (sum int64) {
+		for _, got := range c.delivered() {
+			sum += got
+		}
+		return sum
 	}
+	gotBefore := deliveries()
 
-	// Open loop: message k is sent at start + k/rate, regardless of how
-	// far delivery has fallen behind. A send rejected by the core (e.g.
-	// transient group gating) is retried on a tight schedule — dropping
-	// it would deadlock completion accounting — but the clock never
-	// stops, so sustained rejection shows up as achieved < offered.
-	start := time.Now()
-	interval := time.Duration(float64(time.Second) / rate)
-	for k := 0; k < msgs; k++ {
-		due := start.Add(time.Duration(k) * interval)
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		for send(e16Warmup+k) != nil {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	select {
-	case <-senderDone:
-	case <-time.After(120 * time.Second):
-		return fail(fmt.Errorf("measured stream never completed (%d/%d)", sender.got.Load(), int64(total)))
-	}
-	elapsed := time.Since(start)
-
-	// Let the other replicas finish before reading their counters.
-	deadline = time.Now().Add(30 * time.Second)
-	for nodes[1].got.Load() < int64(total) || nodes[2].got.Load() < int64(total) {
-		if time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
+	elapsed, err := c.complete(c.openLoop(rate, send, nil))
+	if err != nil {
+		return fail(err)
 	}
 	res.TxSyscalls = trace.Counter("transport.tx_syscalls") - txBefore
 	res.RxSyscalls = trace.Counter("transport.rx_syscalls") - rxBefore
-	gotAfter := int64(0)
-	for _, nd := range nodes {
-		gotAfter += nd.got.Load()
-	}
-	for _, nd := range nodes {
-		if err := nd.r.WALSync(); err != nil {
-			return fail(err)
-		}
-		nd.r.Close()
+	res.Delivered = c.delivered()
+	dg := deliveries() - gotBefore
+	if err := c.stop(); err != nil {
+		return fail(err)
 	}
 
 	res.Seconds = elapsed.Seconds()
 	res.AchievedRate = float64(msgs) / res.Seconds
-	if dg := gotAfter - gotBefore; dg > 0 {
+	if dg > 0 {
 		res.SyscallsMsg = float64(res.TxSyscalls+res.RxSyscalls) / float64(dg)
 	}
 	res.Sendmmsg = trace.Counter("transport.tx_sendmmsg_calls")
 	res.Recvmmsg = trace.Counter("transport.rx_recvmmsg_calls")
 	res.RxDrops = trace.Counter("runtime.rx_overflow_drops")
-	res.P50 = latencies.P50()
-	res.P99 = latencies.P99()
+	res.P50 = c.lat.P50()
+	res.P99 = c.lat.P99()
 	return res
 }
 

@@ -13,10 +13,10 @@ package harness
 // assignment arrive, independent of what the slowest member has said
 // lately.
 //
-// E17 measures that difference end to end on the pipelined runtime:
-// real UDP loopback, a write-ahead log with fsync=always on every
-// replica, an open-loop generator offering the same rate to both modes,
-// at 3 and 5 members. Latency is send-to-deliver, sampled at every
+// E17 measures that difference end to end with every runtime stage
+// wide (see live.go: real UDP loopback, a write-ahead log with
+// fsync=always on every replica), an open-loop generator offering the
+// same rate to both modes, at 3 and 5 members. Latency is send-to-deliver, sampled at every
 // replica (the table aggregates all replicas' samples: the order
 // property is group-wide, not sender-local). A separate run kills the
 // leader mid-stream and reports how long until a survivor delivers the
@@ -24,20 +24,13 @@ package harness
 // leader mode introduces and the Lamport mode does not have.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"os"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"ftmp/internal/core"
 	"ftmp/internal/ids"
-	"ftmp/internal/runtime"
 	"ftmp/internal/trace"
-	"ftmp/internal/transport"
-	"ftmp/internal/wal"
-	"ftmp/internal/wire"
 )
 
 // E17Result is one (mode, group size) measurement.
@@ -51,6 +44,7 @@ type E17Result struct {
 	P50, P99, P999 float64 // send->deliver latency over all replicas, ms
 	LeaderAssigned uint64  // sequences assigned (leader mode)
 	FollowerNacks  uint64  // targeted gap NACKs (leader mode)
+	Delivered      []int64 // payload messages each replica delivered, warm-up included
 	Err            error
 }
 
@@ -59,14 +53,11 @@ type E17FailoverResult struct {
 	Members    int
 	SuspectMs  int
 	FailoverMs float64 // leader kill -> first new-term delivery at a survivor
+	Delivered  []int64 // payload messages each replica delivered; the leader's stop at the kill
 	Err        error
 }
 
-const (
-	e17Group   = ids.GroupID(1700)
-	e17Warmup  = 50 // unmeasured closed-loop messages to settle the group
-	e17Payload = 64 // bytes per message (seq in the first 8)
-)
+const e17Group = ids.GroupID(1700)
 
 // RunE17 measures one mode at one group size: an open-loop generator on
 // replica 1 offering rate msg/s until msgs measured messages have been
@@ -80,195 +71,31 @@ func RunE17(order core.OrderMode, n, msgs int, rate float64) E17Result {
 	}
 
 	trace.ResetCounters()
-	var members ids.Membership
-	for i := 1; i <= n; i++ {
-		members = members.Add(ids.ProcessorID(i))
+	c, err := newLiveCluster(liveSpec{name: "e17-" + res.Mode, n: n, group: e17Group, order: order,
+		msgs: msgs, sampleAll: true, wide: true})
+	defer c.close()
+	if err != nil {
+		return fail(err)
 	}
-
-	type e17node struct {
-		r    *runtime.Runner
-		mesh *transport.UDPMesh
-		log  *wal.Log
-		dir  string
-		got  atomic.Int64
+	if err := c.warmup(c.sendPlain); err != nil {
+		return fail(err)
 	}
-	nodes := make([]*e17node, n)
-
-	sendTimes := make([]int64, e17Warmup+msgs)
-	var latencies trace.Histogram
-	var latMu sync.Mutex
-	senderDone := make(chan struct{})
-	var senderDoneOnce sync.Once
-
-	defer func() {
-		for _, nd := range nodes {
-			if nd == nil {
-				continue
-			}
-			if nd.r != nil {
-				nd.r.Close()
-			}
-			if nd.log != nil {
-				_ = nd.log.Close()
-			}
-			if nd.dir != "" {
-				_ = os.RemoveAll(nd.dir)
-			}
-		}
-	}()
-
-	total := e17Warmup + msgs
-	for i := 0; i < n; i++ {
-		nd := &e17node{}
-		nodes[i] = nd
-		p := ids.ProcessorID(i + 1)
-
-		dir, err := os.MkdirTemp("", fmt.Sprintf("ftmp-e17-%s-p%d-", res.Mode, p))
-		if err != nil {
-			return fail(err)
-		}
-		nd.dir = dir
-		dfs, err := wal.NewDirFS(dir)
-		if err != nil {
-			return fail(err)
-		}
-		nd.log, _, err = wal.Open(wal.Config{
-			FS:     dfs,
-			Policy: wal.SyncAlways,
-			Now:    func() int64 { return time.Now().UnixNano() },
-		})
-		if err != nil {
-			return fail(err)
-		}
-
-		cfg := core.DefaultConfig(p)
-		cfg.Order = order
-		cfg.PGMP.SuspectTimeout = 5_000_000_000 // no convictions under load
-		i := i
-		cb := core.Callbacks{
-			Transmit: func(wire.MulticastAddr, []byte) {}, // installed by the runner
-			Deliver: func(d core.Delivery) {
-				if len(d.Payload) != e17Payload {
-					return
-				}
-				seq := int64(binary.BigEndian.Uint64(d.Payload))
-				if seq >= e17Warmup {
-					lat := float64(time.Now().UnixNano()-atomic.LoadInt64(&sendTimes[seq])) / 1e6
-					latMu.Lock()
-					latencies.Add(lat)
-					latMu.Unlock()
-				}
-				if nd.got.Add(1) == int64(total) && i == 0 {
-					senderDoneOnce.Do(func() { close(senderDone) })
-				}
-			},
-		}
-		opts := runtime.Options{
-			RecvWorkers:   4,
-			DeliveryDepth: 1024,
-			SendShards:    2,
-			WAL:           nd.log,
-			WALBatch:      64,
-		}
-		nd.r, err = runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
-			m, err := transport.NewUDPMesh("127.0.0.1:0", h)
-			nd.mesh = m
-			return m, err
-		}, opts)
-		if err != nil {
-			return fail(err)
-		}
+	elapsed, err := c.complete(c.openLoop(rate, c.sendPlain, nil))
+	if err == nil {
+		err = c.stop()
 	}
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if err := a.mesh.AddPeer(b.mesh.LocalAddr()); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	for _, nd := range nodes {
-		nd.r.Do(func(node *core.Node, now int64) {
-			node.CreateGroup(now, e17Group, members)
-		})
-	}
-
-	sender := nodes[0]
-	send := func(seq int) error {
-		payload := make([]byte, e17Payload)
-		binary.BigEndian.PutUint64(payload, uint64(seq))
-		var err error
-		atomic.StoreInt64(&sendTimes[seq], time.Now().UnixNano())
-		sender.r.Do(func(node *core.Node, now int64) {
-			err = node.Multicast(now, e17Group, ids.ConnectionID{}, 0, payload)
-		})
-		return err
-	}
-
-	// Warmup is closed-loop: settle membership and warm the path.
-	for seq := 0; seq < e17Warmup; seq++ {
-		if err := send(seq); err != nil {
-			return fail(err)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for sender.got.Load() < e17Warmup {
-		if time.Now().After(deadline) {
-			return fail(fmt.Errorf("warmup never delivered (%d/%d)", sender.got.Load(), e17Warmup))
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	// Open loop: message k goes out at start + k/rate whether or not
-	// earlier ones have been delivered; rejected sends are retried on a
-	// tight schedule but the clock never stops.
-	start := time.Now()
-	interval := time.Duration(float64(time.Second) / rate)
-	for k := 0; k < msgs; k++ {
-		due := start.Add(time.Duration(k) * interval)
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		for send(e17Warmup+k) != nil {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	select {
-	case <-senderDone:
-	case <-time.After(120 * time.Second):
-		return fail(fmt.Errorf("measured stream never completed (%d/%d)", sender.got.Load(), int64(total)))
-	}
-	elapsed := time.Since(start)
-
-	// Let the other replicas finish before reading the distribution.
-	deadline = time.Now().Add(30 * time.Second)
-	for {
-		done := true
-		for _, nd := range nodes[1:] {
-			if nd.got.Load() < int64(total) {
-				done = false
-			}
-		}
-		if done || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for _, nd := range nodes {
-		if err := nd.r.WALSync(); err != nil {
-			return fail(err)
-		}
-		nd.r.Close()
+	if err != nil {
+		return fail(err)
 	}
 
 	res.Seconds = elapsed.Seconds()
 	res.AchievedRate = float64(msgs) / res.Seconds
-	latMu.Lock()
-	res.P50 = latencies.P50()
-	res.P99 = latencies.P99()
-	res.P999 = latencies.P999()
-	latMu.Unlock()
+	res.P50 = c.lat.P50()
+	res.P99 = c.lat.P99()
+	res.P999 = c.lat.P999()
 	res.LeaderAssigned = trace.Counter("core.leader_seq_assigned")
 	res.FollowerNacks = trace.Counter("core.follower_gap_nacks")
+	res.Delivered = c.delivered()
 	return res
 }
 
@@ -282,173 +109,43 @@ func RunE17Failover(msgs int, rate float64, suspectMs int) E17FailoverResult {
 	fail := func(err error) E17FailoverResult { res.Err = err; return res }
 
 	trace.ResetCounters()
-	members := ids.NewMembership(1, 2, 3)
-
-	type e17node struct {
-		r    *runtime.Runner
-		mesh *transport.UDPMesh
-		log  *wal.Log
-		dir  string
-		got  atomic.Int64
-	}
-	nodes := make([]*e17node, n)
-	closed := make([]bool, n)
-
 	// The witness (replica 3) notes the wall time of the first delivery
 	// carrying a post-failover sequencing term.
 	var newTermAt atomic.Int64
-
-	defer func() {
-		for i, nd := range nodes {
-			if nd == nil {
-				continue
-			}
-			if nd.r != nil && !closed[i] {
-				nd.r.Close()
-			}
-			if nd.log != nil {
-				_ = nd.log.Close()
-			}
-			if nd.dir != "" {
-				_ = os.RemoveAll(nd.dir)
-			}
-		}
-	}()
-
-	total := e17Warmup + msgs
-	for i := 0; i < n; i++ {
-		nd := &e17node{}
-		nodes[i] = nd
-		p := ids.ProcessorID(i + 1)
-
-		dir, err := os.MkdirTemp("", fmt.Sprintf("ftmp-e17-failover-p%d-", p))
-		if err != nil {
-			return fail(err)
-		}
-		nd.dir = dir
-		dfs, err := wal.NewDirFS(dir)
-		if err != nil {
-			return fail(err)
-		}
-		nd.log, _, err = wal.Open(wal.Config{
-			FS:     dfs,
-			Policy: wal.SyncAlways,
-			Now:    func() int64 { return time.Now().UnixNano() },
-		})
-		if err != nil {
-			return fail(err)
-		}
-
-		cfg := core.DefaultConfig(p)
-		cfg.Order = core.OrderLeader
-		cfg.PGMP.SuspectTimeout = int64(suspectMs) * 1_000_000
-		i := i
-		cb := core.Callbacks{
-			Transmit: func(wire.MulticastAddr, []byte) {},
-			Deliver: func(d core.Delivery) {
-				if i == 2 && d.OrderEpoch > 0 && newTermAt.Load() == 0 {
-					newTermAt.CompareAndSwap(0, time.Now().UnixNano())
-				}
-				if len(d.Payload) != e17Payload {
-					return
-				}
-				nd.got.Add(1)
-			},
-		}
-		opts := runtime.Options{
-			RecvWorkers:   4,
-			DeliveryDepth: 1024,
-			SendShards:    2,
-			WAL:           nd.log,
-			WALBatch:      64,
-		}
-		nd.r, err = runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
-			m, err := transport.NewUDPMesh("127.0.0.1:0", h)
-			nd.mesh = m
-			return m, err
-		}, opts)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	for _, a := range nodes {
-		for _, b := range nodes {
-			if err := a.mesh.AddPeer(b.mesh.LocalAddr()); err != nil {
-				return fail(err)
-			}
-		}
-	}
-	for _, nd := range nodes {
-		nd.r.Do(func(node *core.Node, now int64) {
-			node.CreateGroup(now, e17Group, members)
-		})
-	}
-
 	// Replica 2 sends: it survives the kill (and, as the lowest
 	// surviving identifier, takes over sequencing).
-	sender := nodes[1]
-	send := func(seq int) error {
-		payload := make([]byte, e17Payload)
-		binary.BigEndian.PutUint64(payload, uint64(seq))
-		var err error
-		sender.r.Do(func(node *core.Node, now int64) {
-			err = node.Multicast(now, e17Group, ids.ConnectionID{}, 0, payload)
-		})
-		return err
+	c, err := newLiveCluster(liveSpec{name: "e17-failover", n: n, group: e17Group, order: core.OrderLeader,
+		suspectMs: suspectMs, msgs: msgs, sender: 1, wide: true,
+		onDeliver: func(i int, d core.Delivery) {
+			if i == 2 && d.OrderEpoch > 0 {
+				newTermAt.CompareAndSwap(0, time.Now().UnixNano())
+			}
+		}})
+	defer c.close()
+	if err != nil {
+		return fail(err)
 	}
-
-	for seq := 0; seq < e17Warmup; seq++ {
-		if err := send(seq); err != nil {
-			return fail(err)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for sender.got.Load() < e17Warmup {
-		if time.Now().After(deadline) {
-			return fail(fmt.Errorf("warmup never delivered (%d/%d)", sender.got.Load(), e17Warmup))
-		}
-		time.Sleep(time.Millisecond)
+	if err := c.warmup(c.sendPlain); err != nil {
+		return fail(err)
 	}
 
 	// Open loop through the kill: a third of the way in, the leader
 	// (replica 1) fail-stops. The generator keeps offering; sends the
 	// wedged group rejects are retried until recovery admits them.
-	start := time.Now()
-	interval := time.Duration(float64(time.Second) / rate)
-	killAt := msgs / 3
 	var tKill int64
-	for k := 0; k < msgs; k++ {
-		if k == killAt {
+	start := c.openLoop(rate, c.sendPlain, func(k int) {
+		if k == msgs/3 {
 			tKill = time.Now().UnixNano()
-			nodes[0].r.Close()
-			closed[0] = true
+			c.kill(0)
 		}
-		due := start.Add(time.Duration(k) * interval)
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		for send(e17Warmup+k) != nil {
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
+	})
 	// Survivors must finish the stream (the witness too).
-	deadline = time.Now().Add(60 * time.Second)
-	for sender.got.Load() < int64(total) || nodes[2].got.Load() < int64(total) {
-		if time.Now().After(deadline) {
-			return fail(fmt.Errorf("post-failover stream incomplete (%d and %d of %d)",
-				sender.got.Load(), nodes[2].got.Load(), total))
-		}
-		time.Sleep(time.Millisecond)
+	_, err = c.complete(start)
+	if err == nil {
+		err = c.stop()
 	}
-	for i, nd := range nodes {
-		if closed[i] {
-			continue
-		}
-		if err := nd.r.WALSync(); err != nil {
-			return fail(err)
-		}
-		nd.r.Close()
-		closed[i] = true
+	if err != nil {
+		return fail(err)
 	}
 
 	at := newTermAt.Load()
@@ -456,6 +153,7 @@ func RunE17Failover(msgs int, rate float64, suspectMs int) E17FailoverResult {
 		return fail(fmt.Errorf("no new-term delivery observed after the kill"))
 	}
 	res.FailoverMs = float64(at-tKill) / 1e6
+	res.Delivered = c.delivered()
 	return res
 }
 

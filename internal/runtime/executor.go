@@ -11,24 +11,29 @@ import (
 )
 
 // executor runs application upcalls (deliveries, view changes, fault
-// reports) off the event loop, in exactly the order the core emitted
-// them. The loop enqueues; one executor goroutine dequeues in chunks,
-// group-commits the chunk's WAL records with a single fsync
-// (wal.SyncBatch), and only then invokes the application callbacks —
-// the same write-ahead contract as WrapDurable, amortized.
+// reports) in exactly the order the core emitted them, and owns the
+// write-ahead log: for every chunk of upcalls it commits the records
+// they imply (wal.SyncBatch: one fsync per chunk under SyncAlways) and
+// only then invokes the application callbacks, so a record is durable
+// by the time the application observes the event.
 //
-// The queue is unbounded on purpose: an enqueue that blocked the loop
-// could deadlock with an application callback that calls Runner.Do.
-// Backpressure is instead a soft watermark (backlogged): when the
-// backlog passes the configured depth, the loop pauses draining the
-// receive ring — ingestion stalls, the loop itself stays live for
-// ticks, retransmissions and operations.
+// At depth 0 a chunk is one upcall, processed inline on the goroutine
+// that enqueues it — the event loop. At depth > 0 the loop only
+// enqueues; one executor goroutine dequeues chunks of up to chunk
+// upcalls. That queue is unbounded on purpose: an enqueue that blocked
+// the loop could deadlock with an application callback that calls
+// Runner.Do. Backpressure is instead a soft watermark (backlogged):
+// when the backlog passes depth, the loop pauses draining the receive
+// ring — ingestion stalls, the loop itself stays live for ticks,
+// retransmissions and operations.
 type executor struct {
-	cb    core.Callbacks // application-facing callbacks only
+	cb    core.Callbacks // the application's; only the three upcalls are used
 	sb    *wal.SyncBatch // nil when not durable
 	onErr func(error)
 	chunk int // max upcalls (and WAL records) per group commit
-	depth int // backlog watermark that pauses ingestion
+	depth int // backlog watermark that pauses ingestion; 0: inline
+
+	recs []wal.Record // commit scratch
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -44,7 +49,6 @@ const (
 	upDeliver upKind = iota
 	upView
 	upFault
-	upBarrier
 	upExec
 )
 
@@ -55,11 +59,11 @@ type upcall struct {
 	// fault report
 	group     ids.GroupID
 	convicted ids.Membership
-	// barrier reply channel (buffered, cap 1); upExec answers on it too
-	barrier chan error
-	// exec runs on the executor goroutine with exclusive WAL access
-	// (compaction), after the chunk's group commit
-	exec func() error
+	// exec runs on the goroutine that owns the WAL with exclusive log
+	// access (compaction), after everything before it is committed and
+	// synced; its result goes to reply (buffered, cap 1)
+	exec  func() error
+	reply chan error
 }
 
 func newExecutor(cb core.Callbacks, w *wal.Log, chunk, depth int, onErr func(error)) *executor {
@@ -74,32 +78,39 @@ func newExecutor(cb core.Callbacks, w *wal.Log, chunk, depth int, onErr func(err
 		e.sb = wal.NewSyncBatch(w)
 	}
 	e.cond = sync.NewCond(&e.mu)
-	go e.run()
+	if depth > 0 {
+		go e.run()
+	} else {
+		close(e.done)
+	}
 	return e
 }
 
-// enqueue hands one upcall to the executor. Never blocks. After close
-// (only the Runner closes, after the loop has stopped) a barrier is
-// answered inline and anything else is dropped — by then the queue has
-// fully drained, so nothing is lost.
+// enqueue hands one upcall to the executor. Never blocks on the queue;
+// at depth 0 it is loop-only and returns when the upcall has run. Once
+// close has returned (only the Runner closes, after the loop has
+// stopped) an exec is answered on the caller's goroutine, one caller at
+// a time, and anything else is dropped — the queue has fully drained by
+// then, so nothing is lost.
 func (e *executor) enqueue(u upcall) {
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		if u.barrier != nil {
-			<-e.done // the drain owns the WAL until it finishes
-			err := e.syncNow()
-			if err == nil && u.exec != nil {
-				err = u.exec()
-			}
-			u.barrier <- err
+	switch {
+	case e.closed:
+		if u.kind == upExec {
+			e.process([]upcall{u})
 		}
-		return
+		e.mu.Unlock()
+	case e.depth == 0:
+		// Unlocked while it runs: a callback may re-enter the core and
+		// make it emit (and so enqueue) further upcalls.
+		e.mu.Unlock()
+		e.process([]upcall{u})
+	default:
+		e.q = append(e.q, u)
+		e.qlen.Add(1)
+		e.cond.Signal()
+		e.mu.Unlock()
 	}
-	e.q = append(e.q, u)
-	e.qlen.Add(1)
-	e.cond.Signal()
-	e.mu.Unlock()
 }
 
 // backlogged reports whether the loop should pause ingestion.
@@ -115,10 +126,15 @@ func (e *executor) syncNow() error {
 	return e.sb.Sync()
 }
 
+func (e *executor) report(err error) {
+	if err != nil && e.onErr != nil {
+		e.onErr(err)
+	}
+}
+
 func (e *executor) run() {
 	defer close(e.done)
 	var chunk []upcall
-	var recs []wal.Record
 	for {
 		e.mu.Lock()
 		for len(e.q) == 0 && !e.closed {
@@ -126,10 +142,6 @@ func (e *executor) run() {
 		}
 		if len(e.q) == 0 {
 			e.mu.Unlock()
-			// Closed and drained: leave nothing volatile behind.
-			if err := e.syncNow(); err != nil && e.onErr != nil {
-				e.onErr(err)
-			}
 			return
 		}
 		n := len(e.q)
@@ -148,75 +160,75 @@ func (e *executor) run() {
 		}
 		e.qlen.Add(-int64(n))
 		e.mu.Unlock()
-
-		// Write-ahead, amortized: every record this chunk implies becomes
-		// durable in one group commit before any of its callbacks run.
-		if e.sb != nil {
-			recs = recs[:0]
-			for _, u := range chunk {
-				switch u.kind {
-				case upDeliver:
-					if u.d.OrderSeq > 0 {
-						recs = append(recs, seqRecord(u.d))
-					}
-					recs = append(recs, deliverRecord(u.d))
-				case upView:
-					if rec, ok := viewRecord(u.v); ok {
-						recs = append(recs, rec)
-					}
-				}
-			}
-			if len(recs) > 0 {
-				if err := e.sb.Commit(recs...); err != nil && e.onErr != nil {
-					// As in WrapDurable: report loudly, still deliver —
-					// availability is not sacrificed to a full disk.
-					e.onErr(err)
-				}
-			}
-		}
-
-		for i := range chunk {
-			u := &chunk[i]
-			switch u.kind {
-			case upDeliver:
-				trace.Inc("runtime.exec_deliveries")
-				if e.cb.Deliver != nil {
-					e.cb.Deliver(u.d)
-				}
-			case upView:
-				if e.cb.ViewChange != nil {
-					e.cb.ViewChange(u.v)
-				}
-			case upFault:
-				if e.cb.FaultReport != nil {
-					e.cb.FaultReport(u.group, u.convicted)
-				}
-			case upBarrier:
-				u.barrier <- e.syncNow()
-			case upExec:
-				// Drain pending group commits first: exec (WAL compaction)
-				// needs the log quiescent and every prior record durable.
-				if err := e.syncNow(); err != nil {
-					u.barrier <- err
-				} else {
-					u.barrier <- u.exec()
-				}
-			}
-			*u = upcall{}
-		}
+		e.process(chunk)
 	}
 }
 
-// close marks the queue closed and waits for the executor to drain
-// everything already enqueued (including a final WAL sync).
+// process is the one upcall path: records, commit, callbacks.
+func (e *executor) process(chunk []upcall) {
+	// Write-ahead, amortized: every record this chunk implies becomes
+	// durable in one group commit before any of its callbacks run.
+	if e.sb != nil {
+		recs := e.recs[:0]
+		for _, u := range chunk {
+			switch u.kind {
+			case upDeliver:
+				if u.d.OrderSeq > 0 {
+					recs = append(recs, seqRecord(u.d))
+				}
+				recs = append(recs, deliverRecord(u.d))
+			case upView:
+				if rec, ok := viewRecord(u.v); ok {
+					recs = append(recs, rec)
+				}
+			}
+		}
+		if len(recs) > 0 {
+			// Report loudly, still deliver.
+			e.report(e.sb.Commit(recs...))
+		}
+		e.recs = recs
+	}
+
+	for i := range chunk {
+		u := &chunk[i]
+		switch u.kind {
+		case upDeliver:
+			trace.Inc("runtime.exec_deliveries")
+			if e.cb.Deliver != nil {
+				e.cb.Deliver(u.d)
+			}
+		case upView:
+			if e.cb.ViewChange != nil {
+				e.cb.ViewChange(u.v)
+			}
+		case upFault:
+			if e.cb.FaultReport != nil {
+				e.cb.FaultReport(u.group, u.convicted)
+			}
+		case upExec:
+			// Drain pending group commits first: exec (WAL compaction)
+			// needs the log quiescent and every prior record durable.
+			err := e.syncNow()
+			if err == nil {
+				err = u.exec()
+			}
+			u.reply <- err
+		}
+		*u = upcall{}
+	}
+}
+
+// close waits for the executor to drain everything already enqueued,
+// leaves nothing volatile behind (a final WAL sync), and marks it
+// closed.
 func (e *executor) close() {
 	e.mu.Lock()
-	if !e.closed {
-		e.closed = true
-		e.cond.Signal()
-	}
+	e.closed = true
+	e.cond.Signal()
 	e.mu.Unlock()
 	<-e.done
+	e.report(e.syncNow())
 }
 
 // deliverRecord maps an ordered delivery to its WAL record.

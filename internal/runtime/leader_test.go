@@ -15,71 +15,8 @@ import (
 	"ftmp/internal/core"
 	"ftmp/internal/ids"
 	"ftmp/internal/runtime"
-	"ftmp/internal/transport"
 	"ftmp/internal/wal"
-	"ftmp/internal/wire"
 )
-
-// newLeaderNodes is newPipeNodes with cfg.Order = OrderLeader and an
-// optional per-node WAL (wlogs[i] attaches to node i+1; nil entries and
-// a nil slice mean no log).
-func newLeaderNodes(t *testing.T, n int, opts runtime.Options, wlogs []*wal.Log) []*pnode {
-	t.Helper()
-	nodes := make([]*pnode, n)
-	meshes := make([]*transport.UDPMesh, n)
-	var members ids.Membership
-	for i := 1; i <= n; i++ {
-		members = members.Add(ids.ProcessorID(i))
-	}
-	for i := 0; i < n; i++ {
-		p := ids.ProcessorID(i + 1)
-		node := &pnode{p: p}
-		cfg := core.DefaultConfig(p)
-		cfg.Order = core.OrderLeader
-		cfg.PGMP.SuspectTimeout = 2_000_000_000 // CI scheduler jitter headroom
-		cb := core.Callbacks{
-			Transmit: func(wire.MulticastAddr, []byte) {}, // installed by the runner
-			Deliver: func(d core.Delivery) {
-				node.mu.Lock()
-				node.got = append(node.got, string(d.Payload))
-				node.mu.Unlock()
-				if node.hook != nil {
-					node.hook(node, d)
-				}
-			},
-		}
-		o := opts
-		if i < len(wlogs) {
-			o.WAL = wlogs[i]
-		}
-		var mesh *transport.UDPMesh
-		r, err := runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
-			m, err := transport.NewUDPMesh("127.0.0.1:0", h)
-			mesh = m
-			return m, err
-		}, o)
-		if err != nil {
-			t.Fatalf("runner %d: %v", i+1, err)
-		}
-		node.r = r
-		nodes[i] = node
-		meshes[i] = mesh
-		t.Cleanup(r.Close)
-	}
-	for _, m := range meshes {
-		for _, peer := range meshes {
-			if err := m.AddPeer(peer.LocalAddr()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	for _, node := range nodes {
-		node.r.Do(func(nd *core.Node, now int64) {
-			nd.CreateGroup(now, grp, members)
-		})
-	}
-	return nodes
-}
 
 // orderedRec is one sequenced delivery as the application saw it.
 type orderedRec struct {
@@ -157,20 +94,18 @@ func TestLeaderPipelineDurableFailover(t *testing.T) {
 	}
 	opts := pipeOpts()
 	opts.WALBatch = 8
-	nodes := newLeaderNodes(t, n, opts, wlogs)
 
 	var mu sync.Mutex
 	seen := make(map[ids.ProcessorID][]orderedRec)
-	for _, node := range nodes {
-		node.hook = func(nd *pnode, d core.Delivery) {
+	nodes := newPipeNodes(t, n, pipeSpec{opts: opts, order: core.OrderLeader, wlogs: wlogs,
+		hook: func(nd *pnode, d core.Delivery) {
 			if d.OrderSeq == 0 {
 				t.Errorf("P%v: leader-mode delivery %q with OrderSeq=0", nd.p, d.Payload)
 			}
 			mu.Lock()
 			seen[nd.p] = append(seen[nd.p], orderedRec{d.OrderEpoch, d.OrderSeq, string(d.Payload)})
 			mu.Unlock()
-		}
-	}
+		}})
 	seenAt := func(p ids.ProcessorID) []orderedRec {
 		mu.Lock()
 		defer mu.Unlock()

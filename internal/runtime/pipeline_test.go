@@ -1,12 +1,13 @@
 package runtime_test
 
-// Tests for the pipelined runner: parallel receive/decode, async
-// ordered delivery, sharded sends and executor-owned WAL group commit.
+// Tests for the runner with its stages wide: parallel receive/decode,
+// async ordered delivery, sharded sends and WAL group commit.
 // Everything here runs over real UDP sockets on loopback and is meant
 // to be raced (go test -race).
 
 import (
 	"fmt"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -23,13 +24,12 @@ import (
 	"ftmp/internal/wire"
 )
 
-// pnode is one pipelined processor plus its recorded deliveries.
+// pnode is one processor plus its recorded deliveries.
 type pnode struct {
-	p    ids.ProcessorID
-	r    *runtime.Runner
-	mu   sync.Mutex
-	got  []string
-	hook func(n *pnode, d core.Delivery) // optional, runs on the executor
+	p   ids.ProcessorID
+	r   *runtime.Runner
+	mu  sync.Mutex
+	got []string
 }
 
 func (n *pnode) delivered() []string {
@@ -38,10 +38,21 @@ func (n *pnode) delivered() []string {
 	return append([]string(nil), n.got...)
 }
 
-// newPipeNodes starts n pipelined processors in a full UDP mesh (self
-// included) and creates the group on each. opts is cloned per node; a
-// non-nil wlog is attached to node 1 only.
-func newPipeNodes(t *testing.T, n int, opts runtime.Options, wlog *wal.Log) []*pnode {
+// pipeSpec is what a test varies about its cluster.
+type pipeSpec struct {
+	opts  runtime.Options
+	order core.OrderMode
+	// wlogs[i], when present and non-nil, is node i+1's WAL.
+	wlogs []*wal.Log
+	// hook, when set, runs after each delivery is recorded, on the
+	// goroutine the upcalls run on. It is part of the spec because it
+	// must exist before the first runner does.
+	hook func(n *pnode, d core.Delivery)
+}
+
+// newPipeNodes starts n processors in a full UDP mesh (self included)
+// and creates the group on each.
+func newPipeNodes(t *testing.T, n int, spec pipeSpec) []*pnode {
 	t.Helper()
 	nodes := make([]*pnode, n)
 	meshes := make([]*transport.UDPMesh, n)
@@ -53,6 +64,7 @@ func newPipeNodes(t *testing.T, n int, opts runtime.Options, wlog *wal.Log) []*p
 		p := ids.ProcessorID(i + 1)
 		node := &pnode{p: p}
 		cfg := core.DefaultConfig(p)
+		cfg.Order = spec.order
 		cfg.PGMP.SuspectTimeout = 2_000_000_000 // CI scheduler jitter headroom
 		cb := core.Callbacks{
 			Transmit: func(wire.MulticastAddr, []byte) {}, // installed by the runner
@@ -60,14 +72,14 @@ func newPipeNodes(t *testing.T, n int, opts runtime.Options, wlog *wal.Log) []*p
 				node.mu.Lock()
 				node.got = append(node.got, string(d.Payload))
 				node.mu.Unlock()
-				if node.hook != nil {
-					node.hook(node, d)
+				if spec.hook != nil {
+					spec.hook(node, d)
 				}
 			},
 		}
-		o := opts
-		if i == 0 {
-			o.WAL = wlog
+		o := spec.opts
+		if i < len(spec.wlogs) {
+			o.WAL = spec.wlogs[i]
 		}
 		var mesh *transport.UDPMesh
 		r, err := runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
@@ -98,12 +110,11 @@ func newPipeNodes(t *testing.T, n int, opts runtime.Options, wlog *wal.Log) []*p
 	return nodes
 }
 
-// pipeOpts is the full pipeline: parallel decode, async delivery,
+// pipeOpts is every stage wide: parallel decode, async delivery,
 // sharded sends.
 func pipeOpts() runtime.Options {
 	return runtime.Options{
 		RecvWorkers:   4,
-		BatchMax:      64,
 		DeliveryDepth: 64,
 		SendShards:    2,
 	}
@@ -114,7 +125,7 @@ func pipeOpts() runtime.Options {
 // order everywhere.
 func TestPipelineTotalOrder(t *testing.T) {
 	const n, each = 3, 10
-	nodes := newPipeNodes(t, n, pipeOpts(), nil)
+	nodes := newPipeNodes(t, n, pipeSpec{opts: pipeOpts()})
 	var wg sync.WaitGroup
 	for _, node := range nodes {
 		node := node
@@ -167,10 +178,9 @@ func TestPipelineOrderedDeliveryInvariant(t *testing.T) {
 	const msgs = 150
 	opts := pipeOpts()
 	opts.DeliveryDepth = 8 // tiny watermark: force backpressure pauses
-	nodes := newPipeNodes(t, 2, opts, nil)
 	var pongs atomic.Int64
-	nodes[1].hook = func(n *pnode, d core.Delivery) {
-		if !strings.HasPrefix(string(d.Payload), "ping-") {
+	nodes := newPipeNodes(t, 2, pipeSpec{opts: opts, hook: func(n *pnode, d core.Delivery) {
+		if n.p != 2 || !strings.HasPrefix(string(d.Payload), "ping-") {
 			return
 		}
 		time.Sleep(50 * time.Microsecond) // lag the app: backlog builds
@@ -181,7 +191,7 @@ func TestPipelineOrderedDeliveryInvariant(t *testing.T) {
 					[]byte("pong-"+string(d.Payload[5:])))
 			})
 		}
-	}
+	}})
 	for i := 0; i < msgs; i++ {
 		i := i
 		nodes[0].r.Do(func(nd *core.Node, now int64) {
@@ -246,14 +256,14 @@ func TestPipelineOrderedDeliveryInvariant(t *testing.T) {
 // passes if nothing deadlocks, panics or races, and whatever was
 // delivered is identical on both nodes up to the shorter prefix.
 func TestPipelineStressOverflowAndShutdown(t *testing.T) {
+	defer runtime.ShrinkQueues(64, 16)()
 	opts := pipeOpts()
-	opts.QueueDepth = 64
 	opts.DeliveryDepth = 4
-	opts.SendDepth = 16
-	nodes := newPipeNodes(t, 2, opts, nil)
-	nodes[1].hook = func(*pnode, core.Delivery) {
-		time.Sleep(100 * time.Microsecond)
-	}
+	nodes := newPipeNodes(t, 2, pipeSpec{opts: opts, hook: func(n *pnode, _ core.Delivery) {
+		if n.p == 2 {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}})
 	stopSend := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {
@@ -300,54 +310,91 @@ func TestPipelineStressOverflowAndShutdown(t *testing.T) {
 		trace.Counter("runtime.ingest_pauses"))
 }
 
-// TestPipelineDurableGroupCommit runs a durable pipelined node
-// (executor-owned WAL) and checks the write-ahead promise end to end:
-// after WALSync and shutdown the log contains every delivery, exactly
-// once, in delivery order.
+// TestPipelineDurableGroupCommit checks the write-ahead promise end to
+// end at both executor widths — inline on the loop (depth 0) and on its
+// own goroutine: WALSync and WALExec reach the log before and after
+// Close, and with its unsynced bytes thrown away the log still holds
+// every delivery exactly once in delivery order and the installed view,
+// with no WAL error reported.
 func TestPipelineDurableGroupCommit(t *testing.T) {
-	fs := wal.NewMemFS()
-	wlog, _, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := pipeOpts()
-	opts.WALBatch = 8
-	nodes := newPipeNodes(t, 1, opts, wlog)
-	const msgs = 40
-	for i := 0; i < msgs; i++ {
-		i := i
-		nodes[0].r.Do(func(nd *core.Node, now int64) {
-			if err := nd.Multicast(now, grp, ids.ConnectionID{}, 0, []byte(fmt.Sprintf("durable-%03d", i))); err != nil {
-				t.Errorf("multicast: %v", err)
+	for _, depth := range []int{0, 1024} {
+		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
+			fs := wal.NewMemFS()
+			wlog, _, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncAlways})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var walErrs atomic.Int64
+			opts := runtime.Options{
+				DeliveryDepth: depth,
+				WALBatch:      8,
+				OnWALError:    func(error) { walErrs.Add(1) },
+			}
+			commits := trace.Counter("wal.group_commits")
+			node := newPipeNodes(t, 1, pipeSpec{opts: opts, wlogs: []*wal.Log{wlog}})[0]
+			const msgs = 40
+			for i := 0; i < msgs; i++ {
+				node.r.Do(func(nd *core.Node, now int64) {
+					if err := nd.Multicast(now, grp, ids.ConnectionID{}, 0, []byte(fmt.Sprintf("durable-%03d", i))); err != nil {
+						t.Errorf("multicast: %v", err)
+					}
+				})
+			}
+			if !waitFor(t, 10*time.Second, func() bool { return len(node.delivered()) >= msgs }) {
+				t.Fatalf("delivered %d/%d", len(node.delivered()), msgs)
+			}
+			var view core.GroupStatus
+			node.r.Do(func(nd *core.Node, _ int64) { view, _ = nd.Status(grp) })
+			// The durability barrier: everything upcalled so far is on disk.
+			if err := node.r.WALSync(); err != nil {
+				t.Fatalf("WALSync: %v", err)
+			}
+			// After Close there is no loop and no executor goroutine left,
+			// and both calls still reach the log: WALExec closes it, so the
+			// WALSync behind it has to report a closed log.
+			node.r.Close()
+			if err := node.r.WALSync(); err != nil {
+				t.Fatalf("WALSync after Close: %v", err)
+			}
+			ran := false
+			if err := node.r.WALExec(func() error { ran = true; return wlog.Close() }); err != nil || !ran {
+				t.Fatalf("WALExec after Close: ran=%v err=%v", ran, err)
+			}
+			if err := node.r.WALSync(); err == nil {
+				t.Error("WALSync after Close never reached the log")
+			}
+
+			fs.Crash()
+			_, rec, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncNever})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			replay := runtime.RecoverReplay(rec.Records)
+			if len(replay.Deliveries) != msgs {
+				t.Fatalf("recovered %d deliveries, want %d", len(replay.Deliveries), msgs)
+			}
+			for i, op := range replay.Deliveries {
+				want := fmt.Sprintf("durable-%03d", i)
+				if string(op.Payload) != want {
+					t.Fatalf("recovered delivery %d = %q, want %q (order or duplication broken)", i, op.Payload, want)
+				}
+			}
+			ep, ok := replay.Epochs[grp]
+			if !ok {
+				t.Fatal("no recovered epoch for the group")
+			}
+			if ep.ViewTS != view.ViewTS || !reflect.DeepEqual(ep.Members, view.Members) {
+				t.Errorf("recovered epoch = %+v, want viewTS %v members %v", ep, view.ViewTS, view.Members)
+			}
+			if last := replay.Deliveries[msgs-1].TS; replay.MaxTS != last || last <= ep.ViewTS {
+				t.Errorf("MaxTS = %v, want the last delivery's %v, above the view's %v", replay.MaxTS, last, ep.ViewTS)
+			}
+			if n := walErrs.Load(); n != 0 {
+				t.Errorf("%d WAL errors reported", n)
+			}
+			if trace.Counter("wal.group_commits") == commits {
+				t.Error("no group commits recorded")
 			}
 		})
-	}
-	if !waitFor(t, 10*time.Second, func() bool { return len(nodes[0].delivered()) >= msgs }) {
-		t.Fatalf("delivered %d/%d", len(nodes[0].delivered()), msgs)
-	}
-	// The durability barrier: everything upcalled so far is on disk.
-	if err := nodes[0].r.WALSync(); err != nil {
-		t.Fatalf("WALSync: %v", err)
-	}
-	nodes[0].r.Close()
-	if err := wlog.Close(); err != nil {
-		t.Fatalf("wal close: %v", err)
-	}
-	_, rec, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncNever})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	replay := runtime.RecoverReplay(rec.Records)
-	if len(replay.Deliveries) != msgs {
-		t.Fatalf("recovered %d deliveries, want %d", len(replay.Deliveries), msgs)
-	}
-	for i, op := range replay.Deliveries {
-		want := fmt.Sprintf("durable-%03d", i)
-		if string(op.Payload) != want {
-			t.Fatalf("recovered delivery %d = %q, want %q (order or duplication broken)", i, op.Payload, want)
-		}
-	}
-	if trace.Counter("wal.group_commits") == 0 {
-		t.Error("no group commits recorded")
 	}
 }

@@ -12,19 +12,29 @@ import (
 // decode workers and the event loop: a fixed-size MPSC ring in which
 // each slot walks empty → filled (raw datagram claimed and written by a
 // reader) → decoded (a worker decoded it with its own wire.Decoder and
-// cloned the scratch body) → empty again (the loop drained it).
+// cloned the scratch body) → empty again (the loop drained it). With no
+// decode workers the middle step is skipped: the loop takes filled
+// slots and decodes them itself.
 //
 // Readers claim slots in arrival order and workers claim them in the
 // same order, but decode completes out of order; the loop consumes only
-// the contiguous decoded prefix, so batches reach core.HandleBatch in
-// exact arrival order. Resequencing here matters: handing packets to
-// the core out of order would read as loss and trigger spurious NACKs.
+// the contiguous ready prefix, so datagrams reach the core in exact
+// arrival order. Resequencing here matters: handing packets to the core
+// out of order would read as loss and trigger spurious NACKs.
 //
 // Overflow (ring full) drops the datagram, exactly as a congested NIC
 // would; the caller counts it.
 type rxRing struct {
 	slots []rxSlot
 	mask  uint64
+	// ready is the state in which the loop consumes a slot: slotDecoded
+	// with decode workers, slotFilled without.
+	ready uint32
+	// msgs and bad hold the workers' decode results, indexed like slots.
+	// They exist only with decode workers: a wire.Message per slot would
+	// triple the footprint of a ring that never decodes.
+	msgs []wire.Message
+	bad  []bool
 
 	head  atomic.Uint64 // next slot a reader claims
 	claim atomic.Uint64 // next slot a worker claims
@@ -48,27 +58,34 @@ type rxSlot struct {
 	state atomic.Uint32
 	data  []byte
 	addr  wire.MulticastAddr
-	msg   wire.Message
-	bad   bool // decode failed
 }
 
 // newRxRing creates a ring with capacity rounded up to a power of two.
-func newRxRing(capacity int) *rxRing {
+// decoded says whether decode workers will serve it.
+func newRxRing(capacity int, decoded bool) *rxRing {
 	n := 1
 	for n < capacity {
 		n <<= 1
 	}
-	return &rxRing{
+	r := &rxRing{
 		slots:  make([]rxSlot, n),
 		mask:   uint64(n - 1),
-		work:   make(chan struct{}, n),
+		ready:  slotFilled,
 		notify: make(chan struct{}, 1),
 	}
+	if decoded {
+		r.ready = slotDecoded
+		r.msgs = make([]wire.Message, n)
+		r.bad = make([]bool, n)
+		r.work = make(chan struct{}, n)
+	}
+	return r
 }
 
-// offer claims a slot for one received datagram. Multiple transport
-// readers may call it concurrently. Returns false (drop) when the ring
-// is full.
+// offer claims a slot for one received datagram and hands it to the
+// next stage — a decode worker, or the loop when there are none.
+// Multiple transport readers may call it concurrently. Returns false
+// (drop) when the ring is full.
 func (r *rxRing) offer(data []byte, addr wire.MulticastAddr) bool {
 	for {
 		h := r.head.Load()
@@ -81,7 +98,11 @@ func (r *rxRing) offer(data []byte, addr wire.MulticastAddr) bool {
 			s := &r.slots[h&r.mask]
 			s.data, s.addr = data, addr
 			s.state.Store(slotFilled)
-			r.work <- struct{}{}
+			if r.work != nil {
+				r.work <- struct{}{}
+			} else {
+				r.wake()
+			}
 			return true
 		}
 	}
@@ -96,7 +117,8 @@ func (r *rxRing) decodeOne(dec *wire.Decoder, stop <-chan struct{}) bool {
 	case <-r.work:
 	}
 	c := r.claim.Add(1) - 1
-	s := &r.slots[c&r.mask]
+	i := c & r.mask
+	s := &r.slots[i]
 	// A token may arrive from reader B while reader A is still writing
 	// the earlier slot this worker claimed; the window is a few stores.
 	for s.state.Load() != slotFilled {
@@ -109,12 +131,12 @@ func (r *rxRing) decodeOne(dec *wire.Decoder, stop <-chan struct{}) bool {
 	}
 	msg, err := dec.Decode(s.data)
 	if err != nil {
-		s.bad = true
+		r.bad[i] = true
 	} else {
 		// The hot-path body is decoder scratch, overwritten by this
 		// worker's next decode; clone it before publishing.
 		msg.Body = wire.CloneBody(msg.Body)
-		s.msg, s.bad = msg, false
+		r.msgs[i], r.bad[i] = msg, false
 	}
 	s.state.Store(slotDecoded)
 	r.wake()
@@ -129,31 +151,29 @@ func (r *rxRing) wake() {
 	}
 }
 
-// drain appends up to max messages from the contiguous decoded prefix
-// to batch (in arrival order) and returns it plus the number of
-// undecodable datagrams skipped. Loop-only.
-func (r *rxRing) drain(max int, batch []core.Incoming) ([]core.Incoming, uint64) {
-	var errs uint64
-	for i := 0; i < max; i++ {
-		t := r.tail.Load()
-		s := &r.slots[t&r.mask]
-		if s.state.Load() != slotDecoded {
-			break
-		}
-		if s.bad {
-			errs++
-		} else {
-			batch = append(batch, core.Incoming{Msg: s.msg, Raw: s.data, Addr: s.addr})
-		}
-		s.data, s.msg = nil, wire.Message{}
-		s.state.Store(slotEmpty)
-		r.tail.Store(t + 1)
+// next removes the next datagram in arrival order once it is ready:
+// decoded — bad when the workers could not decode it — or, on a ring
+// without decode workers, just filled (in.Msg is then zero). Loop-only.
+func (r *rxRing) next() (in core.Incoming, bad, ok bool) {
+	t := r.tail.Load()
+	i := t & r.mask
+	s := &r.slots[i]
+	if s.state.Load() != r.ready {
+		return in, false, false
 	}
-	return batch, errs
+	in.Raw, in.Addr = s.data, s.addr
+	s.data = nil
+	if r.msgs != nil {
+		in.Msg, bad = r.msgs[i], r.bad[i]
+		r.msgs[i] = wire.Message{}
+	}
+	s.state.Store(slotEmpty)
+	r.tail.Store(t + 1)
+	return in, bad, true
 }
 
-// hasReady reports whether the next slot in order is already decoded
-// (the loop self-rearms its wakeup when a drain hit its batch cap).
+// hasReady reports whether next would succeed (the loop self-rearms
+// its wakeup when it stopped short of emptying the ring).
 func (r *rxRing) hasReady() bool {
-	return r.slots[r.tail.Load()&r.mask].state.Load() == slotDecoded
+	return r.slots[r.tail.Load()&r.mask].state.Load() == r.ready
 }

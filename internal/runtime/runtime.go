@@ -4,31 +4,31 @@
 // goroutine: received datagrams, timer ticks, and application
 // operations submitted through Do.
 //
-// By default the runner is fully synchronous — upcalls (deliveries,
-// view changes, fault reports) run on the loop goroutine, so
+// There is one datapath. Each stage has a width, set in Options, and
+// width 0 means the loop goroutine runs that stage itself through the
+// same code:
+//
+//	transport readers
+//	      │ offer
+//	      ▼
+//	   rxRing ──▶ decode     RecvWorkers   0: the loop takes raw datagrams, one per turn
+//	      │                                N: N workers pre-decode, the loop takes batches
+//	      ▼ (arrival order)
+//	 event loop: core.HandlePacket / HandleBatch / Tick / Do
+//	      │                      │
+//	      │ Transmit             │ Deliver / ViewChange / FaultReport
+//	      ▼                      ▼
+//	   sender                 executor     DeliveryDepth 0: inline on the loop
+//	      │  SendShards                    N: own goroutine, ingestion pauses at N queued
+//	      │  0: Send on the loop   │ records ─▶ WAL commit ─▶ callback
+//	      │  N: N FIFO shards      ▼
+//	      ▼                   application
+//	  transport
+//
+// The zero Options keep every upcall on the loop goroutine, so
 // application callbacks see the same single-threaded world the
-// simulator provides. Options can independently move each side of the
-// datapath off the loop, turning the runner into a pipeline around the
-// still-single-threaded core:
-//
-//	readers ──▶ rxRing ──▶ decode workers ─┐
-//	                                       ▼ (in arrival order)
-//	                        event loop: core.HandleBatch / Tick / Do
-//	                           │                      │
-//	                 Transmit  ▼                      ▼  Deliver/ViewChange/FaultReport
-//	              sharded send queues        ordered delivery executor
-//	                           │                      │ (WAL group commit, then app)
-//	                           ▼                      ▼
-//	                       transport              application
-//
-// RecvWorkers moves datagram decode off the loop (the ring resequences,
-// so the core still sees arrival order). DeliveryDepth moves upcalls
-// onto an ordered executor, optionally group-committing a write-ahead
-// log (WAL) before the application observes each event — the pipelined
-// equivalent of WrapDurable. SendShards moves socket writes off the
-// loop. Each is opt-in precisely because some hosts (the CORBA infra)
-// require loop-affine callbacks; zero Options reproduce the legacy
-// synchronous runner exactly.
+// simulator provides; hosts whose callbacks are loop-affine (the CORBA
+// infrastructure) depend on that.
 package runtime
 
 import (
@@ -46,23 +46,34 @@ import (
 	"ftmp/internal/wire"
 )
 
-// packet is one received datagram queued for the loop (legacy path).
-type packet struct {
-	data []byte
-	addr wire.MulticastAddr
-}
+const (
+	// tickInterval is the timer cadence.
+	tickInterval = time.Millisecond
+	// rxBurstMax caps the messages per core.HandleBatch call.
+	rxBurstMax = 256
+	// walBatchDefault is what a zero Options.WALBatch means.
+	walBatchDefault = 64
+)
+
+// Queue bounds. Overflow drops, which the protocol treats as network
+// loss. Variables only so that the overflow stress test can shrink
+// them (export_test.go).
+var (
+	// rxRingSlots is the receive ring capacity, a power of two.
+	rxRingSlots = 4096
+	// sendShardDepth bounds each send shard's queue.
+	sendShardDepth = 1024
+)
 
 // Runner hosts one FTMP node on a transport.
 type Runner struct {
 	Node *core.Node
 
 	tr       transport.Transport
-	packets  chan packet // legacy receive queue (nil when ring is set)
-	ring     *rxRing     // pipelined receive ring (nil when packets is set)
+	ring     *rxRing
 	workers  int
 	workStop chan struct{}
 	workWG   sync.WaitGroup
-	batchMax int
 	batch    []core.Incoming
 	paused   bool // loop-only: ingestion paused by executor backlog
 
@@ -73,165 +84,104 @@ type Runner struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	done     chan struct{}
-	tick     time.Duration
 	start    time.Time
 
 	dropWarn warnLimiter
 }
 
-// Options configures a Runner. The zero value is the legacy fully
-// synchronous runner; each pipeline stage is enabled independently.
+// Options sets the width of each pipeline stage. The zero value runs
+// every stage on the loop goroutine.
 type Options struct {
-	// Tick is the timer cadence (default 1ms).
-	Tick time.Duration
-	// QueueDepth bounds the receive queue — the channel depth on the
-	// legacy path, the ring capacity (rounded up to a power of two) when
-	// RecvWorkers > 0 (default 4096). Overflow drops datagrams, which
-	// the protocol treats as network loss; drops are counted in the
-	// runtime.rx_overflow_drops trace counter.
-	QueueDepth int
-
-	// RecvWorkers > 0 enables the parallel receive stage: that many
-	// decode workers pre-parse datagrams off the loop and the loop
-	// ingests them in arrival-order batches via core.HandleBatch.
+	// RecvWorkers is the number of decode workers that pre-parse
+	// datagrams off the loop; the loop then ingests them in
+	// arrival-order batches via core.HandleBatch. With 0 the loop decodes
+	// each datagram itself (core.HandlePacket), one per loop turn.
 	RecvWorkers int
-	// BatchMax caps the messages per HandleBatch call (default 256).
-	BatchMax int
 
-	// DeliveryDepth > 0 enables the async ordered delivery executor:
-	// Deliver/ViewChange/FaultReport upcalls run on a dedicated
-	// goroutine in emission order, and when the executor's backlog
+	// DeliveryDepth > 0 runs Deliver/ViewChange/FaultReport upcalls on
+	// the executor's own goroutine, in emission order; when its backlog
 	// reaches DeliveryDepth the loop pauses receive-ring ingestion (the
 	// loop itself stays live) until the application catches up.
 	// Application callbacks then run OFF the loop goroutine; they may
-	// still call Runner.Do.
+	// still call Runner.Do. With 0 each upcall runs inline on the loop.
 	DeliveryDepth int
-	// WAL, when set together with DeliveryDepth, is group-committed by
-	// the executor: all records implied by one executor chunk become
-	// durable in a single fsync (wal.SyncBatch) before any of the
-	// chunk's callbacks run. This replaces WrapDurable — do not use
-	// both. Ignored when DeliveryDepth == 0.
+	// WAL, when set, is written ahead by the executor at every depth:
+	// the records implied by one executor chunk (a single upcall at
+	// depth 0) are committed under the log's fsync policy, in one
+	// wal.SyncBatch commit, before any of the chunk's callbacks run.
+	// The Runner owns the log until Close; reach it through WALSync and
+	// WALExec only.
 	WAL *wal.Log
 	// WALBatch caps upcalls per group commit (default 64).
 	WALBatch int
-	// OnWALError hears executor WAL failures (may be nil); as with
-	// WrapDurable the event still reaches the application.
+	// OnWALError hears WAL failures (may be nil). The event still
+	// reaches the application: availability is not sacrificed to a full
+	// disk, but the operator hears about it loudly.
 	OnWALError func(error)
 
-	// SendShards > 0 enables the async send stage: transmissions are
-	// hashed by destination onto that many bounded FIFO queues, each
-	// drained by its own goroutine. Full-queue overflow drops the packet
-	// (counted in runtime.tx_overflow_drops).
+	// SendShards is the number of bounded FIFO send queues, each drained
+	// by its own goroutine; transmissions are hashed onto them by
+	// destination. Full-queue overflow drops the packet (counted in
+	// runtime.tx_overflow_drops). With 0 the loop calls the transport
+	// itself.
 	SendShards int
-	// SendDepth bounds each send shard's queue (default 1024).
-	SendDepth int
-
 	// SendBatch > 1 (with SendShards > 0, on a transport implementing
 	// transport.BatchSender) lets each send shard coalesce its queued
 	// backlog — up to this many frames — into one SendBatch call per
 	// wakeup, which the batched transports turn into sendmmsg(2)
-	// vectors. 0 or 1 keeps one transport Send per frame. Purely a
-	// syscall amortization: per-destination FIFO and every protocol
-	// effect are unchanged.
+	// vectors. An idle shard still sends each frame at once. 0 or 1
+	// keeps one transport Send per frame. Purely a syscall
+	// amortization: per-destination FIFO and every protocol effect are
+	// unchanged.
 	SendBatch int
-	// SendFlushDelay, with SendBatch > 1, lets an idle shard linger this
-	// long for a second frame before flushing a single-frame vector.
-	// Zero (the default) flushes immediately — batching then only
-	// engages when a backlog exists, which is the load case it is for.
-	SendFlushDelay time.Duration
 }
 
 // New creates a runner. The caller supplies the node configuration and
 // callbacks; the runner overrides the transport-facing callbacks
 // (Transmit, Subscribe, Unsubscribe) to use mkTransport's transport and
-// leaves the application-facing ones (Deliver, ViewChange, FaultReport)
-// untouched — though with DeliveryDepth > 0 they are invoked from the
-// executor goroutine instead of the loop. mkTransport receives the
-// handler the transport must invoke.
+// routes the application-facing ones (Deliver, ViewChange, FaultReport)
+// through the executor. mkTransport receives the handler the transport
+// must invoke.
 func New(cfg core.Config, cb core.Callbacks, mkTransport func(transport.Handler) (transport.Transport, error), opt Options) (*Runner, error) {
-	if opt.Tick == 0 {
-		opt.Tick = time.Millisecond
-	}
-	if opt.QueueDepth == 0 {
-		opt.QueueDepth = 4096
-	}
-	if opt.BatchMax == 0 {
-		opt.BatchMax = 256
-	}
 	if opt.WALBatch == 0 {
-		opt.WALBatch = 64
-	}
-	if opt.SendDepth == 0 {
-		opt.SendDepth = 1024
+		opt.WALBatch = walBatchDefault
 	}
 	r := &Runner{
+		ring:     newRxRing(rxRingSlots, opt.RecvWorkers > 0),
+		workers:  opt.RecvWorkers,
+		workStop: make(chan struct{}),
 		ops:      make(chan func(now int64), 256),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
-		tick:     opt.Tick,
 		start:    time.Now(),
-		workers:  opt.RecvWorkers,
-		batchMax: opt.BatchMax,
 	}
 
-	var handler transport.Handler
-	if opt.RecvWorkers > 0 {
-		r.ring = newRxRing(opt.QueueDepth)
-		r.workStop = make(chan struct{})
-		r.batch = make([]core.Incoming, 0, opt.BatchMax)
-		handler = func(data []byte, addr wire.MulticastAddr) {
-			if !r.ring.offer(data, addr) {
-				r.noteRxDrop()
-			}
+	tr, err := mkTransport(func(data []byte, addr wire.MulticastAddr) {
+		if !r.ring.offer(data, addr) {
+			// Ring overflow: drop, as a congested NIC would — but never
+			// silently.
+			r.noteRxDrop()
 		}
-	} else {
-		r.packets = make(chan packet, opt.QueueDepth)
-		handler = func(data []byte, addr wire.MulticastAddr) {
-			select {
-			case r.packets <- packet{data: data, addr: addr}:
-			default:
-				// Queue overflow: drop, as a congested NIC would — but
-				// never silently.
-				r.noteRxDrop()
-			}
-		}
-	}
-
-	tr, err := mkTransport(handler)
+	})
 	if err != nil {
 		return nil, err
 	}
 	r.tr = tr
 
-	if opt.SendShards > 0 {
-		r.snd = newSender(tr, opt.SendShards, opt.SendDepth, opt.SendBatch, opt.SendFlushDelay)
-		cb.Transmit = r.snd.send
-	} else {
-		cb.Transmit = func(addr wire.MulticastAddr, data []byte) {
-			// Best-effort: transmission errors look like loss to the peer
-			// and are repaired by the protocol.
-			_ = tr.Send(addr, data)
-		}
-	}
+	r.snd = newSender(tr, opt.SendShards, sendShardDepth, opt.SendBatch)
+	cb.Transmit = r.snd.send
 	cb.Subscribe = func(addr wire.MulticastAddr) { _ = tr.Join(addr) }
 	cb.Unsubscribe = func(addr wire.MulticastAddr) { _ = tr.Leave(addr) }
 
-	if opt.DeliveryDepth > 0 {
-		app := core.Callbacks{
-			Deliver:     cb.Deliver,
-			ViewChange:  cb.ViewChange,
-			FaultReport: cb.FaultReport,
-		}
-		r.exec = newExecutor(app, opt.WAL, opt.WALBatch, opt.DeliveryDepth, opt.OnWALError)
-		cb.Deliver = func(d core.Delivery) {
-			r.exec.enqueue(upcall{kind: upDeliver, d: d})
-		}
-		cb.ViewChange = func(v core.ViewChange) {
-			r.exec.enqueue(upcall{kind: upView, v: v})
-		}
-		cb.FaultReport = func(g ids.GroupID, convicted ids.Membership) {
-			r.exec.enqueue(upcall{kind: upFault, group: g, convicted: convicted})
-		}
+	r.exec = newExecutor(cb, opt.WAL, opt.WALBatch, opt.DeliveryDepth, opt.OnWALError)
+	cb.Deliver = func(d core.Delivery) {
+		r.exec.enqueue(upcall{kind: upDeliver, d: d})
+	}
+	cb.ViewChange = func(v core.ViewChange) {
+		r.exec.enqueue(upcall{kind: upView, v: v})
+	}
+	cb.FaultReport = func(g ids.GroupID, convicted ids.Membership) {
+		r.exec.enqueue(upcall{kind: upFault, group: g, convicted: convicted})
 	}
 
 	r.Node = core.NewNode(cfg, cb)
@@ -262,55 +212,40 @@ func (r *Runner) decodeWorker() {
 	}
 }
 
-// now returns monotonic nanoseconds since the runner started.
-func (r *Runner) now() int64 { return int64(time.Since(r.start)) }
-
-// Now returns the runner's monotonic clock. Callbacks may use it to
-// timestamp follow-up operations.
-func (r *Runner) Now() int64 { return r.now() }
+// Now returns the runner's monotonic clock, nanoseconds since it
+// started. Callbacks may use it to timestamp follow-up operations.
+func (r *Runner) Now() int64 { return int64(time.Since(r.start)) }
 
 func (r *Runner) loop() {
 	defer close(r.done)
-	ticker := time.NewTicker(r.tick)
+	ticker := time.NewTicker(tickInterval)
 	defer ticker.Stop()
-	if r.ring != nil {
-		for {
-			select {
-			case <-r.stop:
-				return
-			case <-r.ring.notify:
-				r.drainRing()
-			case op := <-r.ops:
-				op(r.now())
-			case <-ticker.C:
-				// The tick also resumes ingestion after a backpressure
-				// pause (the ring's wakeup may have been consumed while
-				// paused), at worst one tick late.
-				r.drainRing()
-				r.Node.Tick(r.now())
-			}
-		}
-	}
 	for {
 		select {
 		case <-r.stop:
 			return
-		case p := <-r.packets:
-			r.Node.HandlePacket(p.data, p.addr, r.now())
+		case <-r.ring.notify:
+			r.ingest()
 		case op := <-r.ops:
-			op(r.now())
+			op(r.Now())
 		case <-ticker.C:
-			r.Node.Tick(r.now())
+			// The tick also resumes ingestion after a backpressure
+			// pause (the ring's wakeup may have been consumed while
+			// paused), at worst one tick late.
+			r.ingest()
+			r.Node.Tick(r.Now())
 		}
 	}
 }
 
-// drainRing feeds one batch from the receive ring into the core,
-// unless the delivery executor is backlogged — then ingestion pauses
-// (the ring and, transitively, the kernel socket buffer absorb the
-// burst) while ticks and operations stay live.
-func (r *Runner) drainRing() {
-	if r.exec != nil && r.exec.backlogged() {
+// ingest feeds the core one burst from the receive ring: a single raw
+// datagram at width 0 — so that ticks and operations are served between
+// datagrams — or up to rxBurstMax decoded ones as one batch. While the
+// delivery executor is backlogged ingestion pauses instead (the ring
+// and, transitively, the kernel socket buffer absorb the burst) and
+// the loop stays live.
+func (r *Runner) ingest() {
+	if r.exec.backlogged() {
 		if !r.paused {
 			r.paused = true
 			trace.Inc("runtime.ingest_pauses")
@@ -318,18 +253,35 @@ func (r *Runner) drainRing() {
 		return
 	}
 	r.paused = false
-	batch, errs := r.ring.drain(r.batchMax, r.batch[:0])
+	burst, batch, errs := 1, r.batch[:0], uint64(0)
+	if r.workers > 0 {
+		burst = rxBurstMax
+	}
+	for ; burst > 0; burst-- {
+		in, bad, ok := r.ring.next()
+		if !ok {
+			break
+		}
+		switch {
+		case r.workers == 0:
+			r.Node.HandlePacket(in.Raw, in.Addr, r.Now())
+		case bad:
+			errs++
+		default:
+			batch = append(batch, in)
+		}
+	}
 	if errs > 0 {
 		r.Node.NoteDecodeErrors(errs)
 	}
 	if len(batch) > 0 {
-		r.Node.HandleBatch(batch, r.now())
+		r.Node.HandleBatch(batch, r.Now())
 		trace.Inc("runtime.rx_batches")
 		trace.Count("runtime.rx_batched_msgs", uint64(len(batch)))
 	}
 	r.batch = batch[:0]
 	if r.ring.hasReady() {
-		// Hit the batch cap with more already decoded: re-arm.
+		// More is already waiting: re-arm instead of looping here.
 		r.ring.wake()
 	}
 }
@@ -352,62 +304,49 @@ func (r *Runner) Do(fn func(node *core.Node, now int64)) {
 	}
 }
 
-// WALSync is the durability barrier for executor-owned WALs: it blocks
-// until every upcall enqueued before it has run and the log is forced
-// to stable storage. With no executor (or no WAL) it returns nil — the
-// legacy path syncs its log directly.
+// WALSync is the durability barrier: it blocks until every upcall
+// emitted before it has run and the log is forced to stable storage.
+// Without a WAL it is only the barrier.
 func (r *Runner) WALSync() error {
-	if r.exec == nil {
-		return nil
-	}
-	ch := make(chan error, 1)
-	r.exec.enqueue(upcall{kind: upBarrier, barrier: ch})
-	return <-ch
+	return r.WALExec(func() error { return nil })
 }
 
-// WALExec runs fn on the goroutine that owns the WAL, after every
-// upcall enqueued before it has committed — the hook for WAL
-// compaction, which needs exclusive, quiescent log access. With an
-// executor the fn runs there; without one it runs on the event loop
-// (the legacy single-threaded owner). Must not be called from an
-// application callback (it would deadlock waiting on its own queue).
+// WALExec runs fn on the goroutine that owns the WAL (the executor's;
+// the loop at DeliveryDepth 0), after every upcall emitted before it
+// has committed and the log has been synced — the hook for WAL
+// compaction, which needs exclusive, quiescent log access. After Close
+// it runs on the caller's goroutine. Must not be called from an
+// application callback (it would wait on its own queue).
 func (r *Runner) WALExec(fn func() error) error {
-	if r.exec == nil {
-		var err error
-		r.Do(func(*core.Node, int64) { err = fn() })
-		return err
+	u := upcall{kind: upExec, exec: fn, reply: make(chan error, 1)}
+	onLoop := false
+	r.Do(func(*core.Node, int64) {
+		onLoop = true
+		r.exec.enqueue(u)
+	})
+	if !onLoop {
+		// The loop has stopped, which only Close does: wait for it to
+		// finish draining, then the closed executor answers inline.
+		r.Close()
+		r.exec.enqueue(u)
 	}
-	ch := make(chan error, 1)
-	r.exec.enqueue(upcall{kind: upExec, exec: fn, barrier: ch})
-	return <-ch
-}
-
-// Backlogged reports whether the delivery executor is over its
-// watermark (ingestion paused). Always false without an executor.
-func (r *Runner) Backlogged() bool {
-	return r.exec != nil && r.exec.backlogged()
+	return <-u.reply
 }
 
 // Close stops the pipeline in dependency order: the loop first (no new
 // sends or upcalls), then the send shards flush while the transport is
 // still up, then the transport (stops the readers), the decode workers,
 // and finally the executor drains every remaining upcall — including
-// the final WAL group commit and sync.
+// the final WAL commit and sync.
 func (r *Runner) Close() {
 	r.stopOnce.Do(func() {
 		close(r.stop)
 		<-r.done
-		if r.snd != nil {
-			r.snd.close()
-		}
+		r.snd.close()
 		_ = r.tr.Close()
-		if r.workStop != nil {
-			close(r.workStop)
-			r.workWG.Wait()
-		}
-		if r.exec != nil {
-			r.exec.close()
-		}
+		close(r.workStop)
+		r.workWG.Wait()
+		r.exec.close()
 	})
 }
 

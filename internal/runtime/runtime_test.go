@@ -160,7 +160,7 @@ func TestRunnerCloseIdempotent(t *testing.T) {
 	}
 	r, err := runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
 		return transport.NewUDPMesh("127.0.0.1:0", h)
-	}, runtime.Options{Tick: 500 * time.Microsecond})
+	}, runtime.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

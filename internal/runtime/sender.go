@@ -2,32 +2,32 @@ package runtime
 
 import (
 	"sync"
-	"time"
 
 	"ftmp/internal/trace"
 	"ftmp/internal/transport"
 	"ftmp/internal/wire"
 )
 
-// sender moves transmission off the event loop: Transmit hashes the
-// destination onto one of a fixed set of shards, each a bounded FIFO
-// drained by its own worker goroutine. Per-destination ordering is
-// preserved (an address always maps to the same shard); a full shard
-// drops the packet, which the protocol repairs as network loss, and the
-// loop never blocks on a slow socket.
+// sender is the transmit stage. With no shards, send calls the
+// transport on the caller's goroutine (the loop). Otherwise it moves
+// transmission off the loop: send hashes the destination onto one of a
+// fixed set of shards, each a bounded FIFO drained by its own worker
+// goroutine. Per-destination ordering is preserved (an address always
+// maps to the same shard); a full shard drops the packet, which the
+// protocol repairs as network loss, and the loop never blocks on a slow
+// socket.
 //
 // With batch > 1 and a transport implementing transport.BatchSender,
 // each wakeup coalesces the shard's backlog — up to batch frames — into
 // one SendBatch call, which the batched transports turn into sendmmsg
 // vectors: the kernel crossing is amortized across the burst instead of
-// paid per frame. An idle shard still sends each frame immediately; an
-// optional flushDelay trades that first-frame latency for a chance to
-// fill the vector when traffic is sparse.
+// paid per frame. An idle shard still sends each frame immediately, so
+// batching only engages when a backlog exists, which is the load case
+// it is for.
 type sender struct {
 	tr     transport.Transport
 	btr    transport.BatchSender // non-nil: batch-drain the shards
 	batch  int
-	delay  time.Duration
 	shards []chan txItem
 	wg     sync.WaitGroup
 	once   sync.Once
@@ -38,8 +38,8 @@ type txItem struct {
 	data []byte
 }
 
-func newSender(tr transport.Transport, shards, depth, batch int, delay time.Duration) *sender {
-	s := &sender{tr: tr, batch: batch, delay: delay, shards: make([]chan txItem, shards)}
+func newSender(tr transport.Transport, shards, depth, batch int) *sender {
+	s := &sender{tr: tr, batch: batch, shards: make([]chan txItem, shards)}
 	if batch > 1 {
 		s.btr, _ = tr.(transport.BatchSender)
 	}
@@ -54,8 +54,8 @@ func newSender(tr transport.Transport, shards, depth, batch int, delay time.Dura
 				return
 			}
 			for it := range ch {
-				// Best-effort, as on the loop path: send errors look like
-				// loss to the peer and are repaired by the protocol.
+				// Best-effort, as on the loop: send errors look like loss
+				// to the peer and are repaired by the protocol.
 				_ = s.tr.Send(it.addr, it.data)
 			}
 		}()
@@ -69,33 +69,9 @@ func newSender(tr transport.Transport, shards, depth, batch int, delay time.Dura
 // ordering contract keeps per-destination FIFO intact.
 func (s *sender) drainBatched(ch chan txItem) {
 	items := make([]transport.Datagram, 0, s.batch)
-	var timer *time.Timer
 	for it := range ch {
 		items = append(items[:0], transport.Datagram{Addr: it.addr, Data: it.data})
 		open := s.sweep(ch, &items)
-		if open && len(items) == 1 && s.delay > 0 {
-			// Sparse traffic: linger briefly for a batch-mate, then sweep
-			// once more. Under load the first sweep already filled the
-			// vector and this path never runs.
-			if timer == nil {
-				timer = time.NewTimer(s.delay)
-			} else {
-				timer.Reset(s.delay)
-			}
-			select {
-			case more, ok := <-ch:
-				if !timer.Stop() {
-					<-timer.C
-				}
-				if ok {
-					items = append(items, transport.Datagram{Addr: more.addr, Data: more.data})
-					open = s.sweep(ch, &items)
-				} else {
-					open = false
-				}
-			case <-timer.C:
-			}
-		}
 		// Best-effort like the unbatched path.
 		_ = s.btr.SendBatch(items)
 		trace.Inc("runtime.tx_batches")
@@ -123,8 +99,15 @@ func (s *sender) sweep(ch chan txItem, items *[]transport.Datagram) bool {
 	return true
 }
 
-// send enqueues one encoded packet. Loop-only (Transmit callback).
+// send transmits or enqueues one encoded packet. Loop-only (Transmit
+// callback).
 func (s *sender) send(addr wire.MulticastAddr, data []byte) {
+	if len(s.shards) == 0 {
+		// Best-effort: transmission errors look like loss to the peer
+		// and are repaired by the protocol.
+		_ = s.tr.Send(addr, data)
+		return
+	}
 	ch := s.shards[addrHash(addr)%uint32(len(s.shards))]
 	select {
 	case ch <- txItem{addr: addr, data: data}:

@@ -3,7 +3,6 @@ package runtime
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"ftmp/internal/transport"
 	"ftmp/internal/wire"
@@ -40,7 +39,7 @@ func (b *batchRecorder) SendBatch(items []transport.Datagram) error {
 // single sends.
 func TestSenderBatchDrain(t *testing.T) {
 	rec := &batchRecorder{}
-	s := newSender(rec, 1, 1024, 8, 0)
+	s := newSender(rec, 1, 1024, 8)
 	addr := wire.MulticastAddr{IP: [4]byte{239, 1, 1, 1}, Port: 1}
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -82,38 +81,11 @@ func TestSenderBatchDrain(t *testing.T) {
 	}
 }
 
-// TestSenderBatchFlushDelay: with a flush delay, a lone frame waits for
-// a batch-mate; the pair must still flush (in order) well within the
-// test budget, and a frame with no follower must flush after the delay.
-func TestSenderBatchFlushDelay(t *testing.T) {
-	rec := &batchRecorder{}
-	s := newSender(rec, 1, 1024, 8, 2*time.Millisecond)
-	addr := wire.MulticastAddr{IP: [4]byte{239, 1, 1, 1}, Port: 1}
-	s.send(addr, []byte{0})
-	s.send(addr, []byte{1})
-	time.Sleep(20 * time.Millisecond)
-	s.send(addr, []byte{2}) // no follower: flushes on the timer
-	time.Sleep(20 * time.Millisecond)
-	s.close()
-
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	var flat []byte
-	for _, b := range rec.batches {
-		for _, d := range b {
-			flat = append(flat, d.Data[0])
-		}
-	}
-	if len(flat) != 3 || flat[0] != 0 || flat[1] != 1 || flat[2] != 2 {
-		t.Fatalf("flushed %v, want [0 1 2]", flat)
-	}
-}
-
 // TestSenderUnbatchedUnchanged: without SendBatch the sender must use
 // plain Send exactly as before.
 func TestSenderUnbatchedUnchanged(t *testing.T) {
 	rec := &batchRecorder{}
-	s := newSender(rec, 2, 16, 0, 0)
+	s := newSender(rec, 2, 16, 0)
 	addr := wire.MulticastAddr{IP: [4]byte{239, 1, 1, 1}, Port: 1}
 	for i := 0; i < 10; i++ {
 		s.send(addr, []byte{byte(i)})

@@ -6,10 +6,10 @@ import (
 	"ftmp/internal/wal"
 )
 
-// Durable hosting: a Runner whose application callbacks are wrapped by
-// WrapDurable persists every totally-ordered delivery and every
-// installed membership view to a write-ahead log before handing it to
-// the application. After a crash the process reopens the log, replays
+// Durable hosting: a Runner given Options.WAL persists every
+// totally-ordered delivery and every installed membership view to the
+// write-ahead log before handing it to the application (the executor
+// does the writing). After a crash the process reopens the log, replays
 // the recovered deliveries into the application (RecoverReplay), and
 // reinstalls the last logged view at its original logical timestamp
 // (core.Node.CreateGroupAt + RecoverClock), so the restarted processor
@@ -108,44 +108,6 @@ func RecoverReplay(records []wal.Record) Replay {
 		}
 	}
 	return rp
-}
-
-// WrapDurable returns a copy of cb whose Deliver and ViewChange append
-// to w before invoking the wrapped callback (write-ahead: the record is
-// durable by the time the application observes the event, under the
-// log's fsync policy). Log failures are reported through onErr (may be
-// nil) and the event still reaches the application: availability is not
-// sacrificed to a full disk, but the operator hears about it loudly.
-func WrapDurable(w *wal.Log, cb core.Callbacks, onErr func(error)) core.Callbacks {
-	report := func(err error) {
-		if err != nil && onErr != nil {
-			onErr(err)
-		}
-	}
-	out := cb
-	inner := cb.Deliver
-	out.Deliver = func(d core.Delivery) {
-		if d.OrderSeq > 0 {
-			report(w.Append(seqRecord(d)))
-		}
-		report(w.Append(deliverRecord(d)))
-		if inner != nil {
-			inner(d)
-		}
-	}
-	innerView := cb.ViewChange
-	out.ViewChange = func(v core.ViewChange) {
-		// ViewWedge records the wedge point (nothing was installed);
-		// ViewHeal is a teardown notice whose wedge marker must survive
-		// until the rejoin installs a fresh epoch, so it logs nothing.
-		if rec, ok := viewRecord(v); ok {
-			report(w.Append(rec))
-		}
-		if innerView != nil {
-			innerView(v)
-		}
-	}
-	return out
 }
 
 // Bootstrap installs group membership on the node, resuming from a

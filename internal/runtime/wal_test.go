@@ -11,76 +11,6 @@ import (
 	"ftmp/internal/wire"
 )
 
-// TestWrapDurableSurvivesCrash drives deliveries and view changes
-// through durable callbacks, crashes the filesystem, and verifies the
-// replay reconstructs the full history and the last installed epoch.
-func TestWrapDurableSurvivesCrash(t *testing.T) {
-	fs := wal.NewMemFS()
-	w, _, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var gotPayloads []string
-	var gotViews int
-	var walErrs []error
-	cb := runtime.WrapDurable(w, core.Callbacks{
-		Transmit: func(wire.MulticastAddr, []byte) {},
-		Deliver: func(d core.Delivery) {
-			gotPayloads = append(gotPayloads, string(d.Payload))
-		},
-		ViewChange: func(core.ViewChange) { gotViews++ },
-	}, func(err error) { walErrs = append(walErrs, err) })
-
-	members := ids.NewMembership(1, 2, 3)
-	viewTS := ids.MakeTimestamp(7, 1)
-	cb.ViewChange(core.ViewChange{Group: 100, ViewTS: viewTS, Members: members, Reason: core.ViewBootstrap})
-	for i := 1; i <= 5; i++ {
-		cb.Deliver(core.Delivery{
-			Group:      100,
-			Source:     ids.ProcessorID(1 + i%3),
-			TS:         ids.MakeTimestamp(uint64(10+i), ids.ProcessorID(1+i%3)),
-			RequestNum: ids.RequestNum(i),
-			Payload:    []byte{byte('a' + i)},
-		})
-	}
-	grown := members.Add(4)
-	viewTS2 := ids.MakeTimestamp(30, 2)
-	cb.ViewChange(core.ViewChange{Group: 100, ViewTS: viewTS2, Members: grown, Reason: core.ViewAdd})
-
-	if len(gotPayloads) != 5 || gotViews != 2 {
-		t.Fatalf("application saw %d deliveries, %d views", len(gotPayloads), gotViews)
-	}
-	if len(walErrs) != 0 {
-		t.Fatalf("wal errors: %v", walErrs)
-	}
-
-	fs.Crash()
-	_, rec, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rp := runtime.RecoverReplay(rec.Records)
-	if len(rp.Deliveries) != 5 {
-		t.Fatalf("recovered %d deliveries, want 5", len(rp.Deliveries))
-	}
-	for i, d := range rp.Deliveries {
-		if got := string(d.Payload); got != string(byte('a'+i+1)) {
-			t.Errorf("delivery %d payload = %q", i, got)
-		}
-	}
-	ep, ok := rp.Epochs[100]
-	if !ok {
-		t.Fatal("no recovered epoch for group 100")
-	}
-	if ep.ViewTS != viewTS2 || !reflect.DeepEqual(ep.Members, grown) {
-		t.Errorf("recovered epoch = %+v, want viewTS %v members %v", ep, viewTS2, grown)
-	}
-	if rp.MaxTS != viewTS2 {
-		t.Errorf("MaxTS = %v, want %v", rp.MaxTS, viewTS2)
-	}
-}
-
 // TestRecoverReplayDedupes collapses duplicated records (a copied
 // segment) to one delivery each.
 func TestRecoverReplayDedupes(t *testing.T) {
