@@ -1,7 +1,9 @@
-// Command ftmpbench regenerates every table and figure recorded in
-// EXPERIMENTS.md: the paper's structural figures (2 and 3), the
-// performance characterization experiments E1-E13 (see DESIGN.md for the
-// experiment index) and the wire-codec microbenchmarks.
+// Command ftmpbench regenerates the paper-reproduction record in
+// EXPERIMENTS.md: the paper's structural figures (2 and 3) and the
+// experiments that compare protocols and protocol modes, E1-E13, E15,
+// E17 and A1-A3 (see DESIGN.md for the experiment index). How fast the
+// implementation runs on a wall clock is benchmark/'s question, not
+// this command's.
 //
 // Usage:
 //
@@ -10,8 +12,6 @@
 //	ftmpbench -quick          # reduced sizes (CI smoke)
 //	ftmpbench -json           # machine-readable output (see EXPERIMENTS.md)
 //	ftmpbench -pprof :6060    # serve net/http/pprof while running
-//	ftmpbench -open-loop -clients 64 -rate 30000
-//	                          # E16 only: open-loop client-scale load
 //	ftmpbench -exp e17 -order both
 //	                          # leader vs Lamport ordering latency
 package main
@@ -20,6 +20,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
@@ -43,36 +44,31 @@ type jsonTable struct {
 // jsonDoc is the -json output document. The schema string names the
 // layout so consumers can reject an incompatible future format; fields
 // are emitted in declaration order, making the output diffable run to
-// run (cell values vary only where the measurement does). Schema
-// ftmpbench/3 adds the open-loop generator parameters (the E16 table
-// carries offered vs achieved rate and syscalls/msg in its cells);
-// consumers that only read tables can accept /2 and /3 alike.
+// run (cell values vary only where the measurement does).
 type jsonDoc struct {
-	Schema          string      `json:"schema"`
-	SeedOffset      int64       `json:"seed_offset"`
-	Quick           bool        `json:"quick"`
-	OpenLoopClients int         `json:"open_loop_clients,omitempty"`
-	OpenLoopRate    float64     `json:"open_loop_rate,omitempty"`
-	Tables          []jsonTable `json:"tables"`
+	Schema     string      `json:"schema"`
+	SeedOffset int64       `json:"seed_offset"`
+	Quick      bool        `json:"quick"`
+	Tables     []jsonTable `json:"tables"`
+}
+
+// experiment is one -exp name and the tables it prints.
+type experiment struct {
+	name string
+	run  func() []*trace.Table
 }
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiments: fig2,fig3,e1..e17,a1,a2,a3,bench or all")
+		expFlag   = flag.String("exp", "all", "comma-separated experiments: fig2,fig3,e1..e13,e15,e17,a1,a2,a3 or all")
 		quick     = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
 		seed      = flag.Int64("seed", 0, "offset added to every experiment seed (0 reproduces EXPERIMENTS.md)")
 		jsonFlag  = flag.Bool("json", false, "emit one JSON document instead of text tables")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address while the suite runs")
-		openLoop  = flag.Bool("open-loop", false, "run only the open-loop client-scale load experiment (E16)")
-		clients   = flag.Int("clients", 64, "open-loop: virtual client connections multiplexed onto the sender")
-		rate      = flag.Float64("rate", 30000, "open-loop: aggregate offered load, msg/s")
 		orderFlag = flag.String("order", "both", "e17: ordering modes to measure (both, lamport or leader)")
 	)
 	flag.Parse()
 	harness.SeedOffset = *seed
-	if *openLoop {
-		*expFlag = "e16"
-	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -84,94 +80,120 @@ func main() {
 		}()
 	}
 
+	want := make(map[string]bool)
+	for _, e := range strings.Split(*expFlag, ",") {
+		want[strings.TrimSpace(strings.ToLower(e))] = true
+	}
+
+	doc := jsonDoc{Schema: "ftmpbench/4", SeedOffset: *seed, Quick: *quick}
+	ran := 0
+	for _, e := range experiments(*quick, *orderFlag) {
+		if !want["all"] && !want[e.name] {
+			continue
+		}
+		if *jsonFlag {
+			for _, tb := range e.run() {
+				doc.Tables = append(doc.Tables, jsonTable{
+					Name:    e.name,
+					Title:   tb.Title(),
+					Headers: tb.Headers(),
+					Rows:    tb.Rows(),
+				})
+			}
+		} else {
+			printText(os.Stdout, e)
+		}
+		ran++
+	}
+	if ran == 0 {
+		fmt.Fprintf(os.Stderr, "no experiment matched %q; known: fig2 fig3 e1..e13 e15 e17 a1 a2 a3 all\n", *expFlag)
+		os.Exit(2)
+	}
+	if *jsonFlag {
+		out, err := json.MarshalIndent(doc, "", "  ")
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ftmpbench: json: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Println(string(out))
+	}
+}
+
+// printText runs e and writes its tables as text.
+func printText(w io.Writer, e experiment) {
+	fmt.Fprintf(w, "=== %s ===\n", strings.ToUpper(e.name))
+	for _, tb := range e.run() {
+		fmt.Fprintln(w, tb.String())
+	}
+}
+
+// ms scales a list of millisecond counts to simulated time.
+func ms(v ...simnet.Time) []simnet.Time {
+	for i := range v {
+		v[i] *= simnet.Millisecond
+	}
+	return v
+}
+
+// experiments is the experiment table in print order, at full size or
+// at -quick's reduced sizes. order is -order, which only e17 reads.
+func experiments(quick bool, order string) []experiment {
 	msgs := 50
 	e1Sizes := []int{2, 4, 8, 16}
 	e2Sizes := []int{64, 256, 1024, 4096, 8192}
 	e2Msgs := 400
-	hbs := []simnet.Time{1, 2, 5, 10, 20, 50}
+	hbs := ms(1, 2, 5, 10, 20, 50)
 	e4Sizes := []int{4, 8}
-	e4Timeouts := []simnet.Time{10, 25, 50, 100}
-	e5Hbs := []simnet.Time{2, 5, 20, 100, 10_000}
+	e4Timeouts := ms(10, 25, 50, 100)
+	e5Hbs := ms(2, 5, 20, 100, 10_000)
 	e6Rates := []float64{0, 0.01, 0.05, 0.10, 0.20}
 	e7Reps := []int{1, 3, 5}
 	e7Calls := 60
 	e8Calls := 20
-	e10Gaps := []simnet.Time{10, 1}
+	e10Gaps := ms(10, 1)
 	e10FCDur := 15 * simnet.Second
 	e11Sizes := []int{2000, 20000}
 	e11Payload := 256
 	e12Sizes := []int{64, 128, 256}
 	e12Msgs := 4000
-	e12IdleMaxes := []simnet.Time{0, 25, 100}
+	e12IdleMaxes := ms(0, 25, 100)
 	e13Runs, e13Ops := 3, 10
-	e14Msgs := 4000
-	e16Msgs := 20000
 	e17Msgs := 6000
 	e17Rate := 2000.0
-	e17FailMsgs := 1500
-	e17SuspectMs := 250
 	e15Sizes := []int{1000, 10000, 100000}
 	e15Every := 1000
 	e15Payload := 256
 	e15Pad := 512 * 1024
-	if *quick {
+	if quick {
 		msgs = 10
 		e1Sizes = []int{2, 4}
 		e2Sizes = []int{64, 1024}
 		e2Msgs = 80
-		hbs = []simnet.Time{2, 20}
+		hbs = ms(2, 20)
 		e4Sizes = []int{4}
-		e4Timeouts = []simnet.Time{25, 100}
-		e5Hbs = []simnet.Time{5, 10_000}
+		e4Timeouts = ms(25, 100)
+		e5Hbs = ms(5, 10_000)
 		e6Rates = []float64{0, 0.10}
 		e7Reps = []int{1, 3}
 		e7Calls = 20
 		e8Calls = 5
-		e10Gaps = []simnet.Time{10}
+		e10Gaps = ms(10)
 		e10FCDur = 5 * simnet.Second
 		e11Sizes = []int{200, 2000}
 		e12Sizes = []int{64, 256}
 		e12Msgs = 1000
-		e12IdleMaxes = []simnet.Time{0, 25}
+		e12IdleMaxes = ms(0, 25)
 		e13Runs, e13Ops = 1, 5
-		e14Msgs = 300
-		e16Msgs = 1500
 		e17Msgs = 800
-		e17FailMsgs = 600
 		e15Sizes = []int{500, 5000}
 		e15Every = 250
 		e15Pad = 128 * 1024
 	}
-	for i := range e10Gaps {
-		e10Gaps[i] *= simnet.Millisecond
-	}
-	for i := range hbs {
-		hbs[i] *= simnet.Millisecond
-	}
-	for i := range e4Timeouts {
-		e4Timeouts[i] *= simnet.Millisecond
-	}
-	for i := range e5Hbs {
-		e5Hbs[i] *= simnet.Millisecond
-	}
-	for i := range e12IdleMaxes {
-		e12IdleMaxes[i] *= simnet.Millisecond
-	}
 
-	want := make(map[string]bool)
-	for _, e := range strings.Split(*expFlag, ",") {
-		want[strings.TrimSpace(strings.ToLower(e))] = true
-	}
-	sel := func(name string) bool { return want["all"] || want[name] }
-
-	type exp struct {
-		name string
-		run  func() []*trace.Table
-	}
 	one := func(f func() *trace.Table) func() []*trace.Table {
 		return func() []*trace.Table { return []*trace.Table{f()} }
 	}
-	experiments := []exp{
+	return []experiment{
 		{"fig2", one(harness.Fig2Encapsulation)},
 		{"fig3", one(harness.Fig3Matrix)},
 		{"e1", one(func() *trace.Table { return harness.E1Latency(e1Sizes, msgs) })},
@@ -204,24 +226,11 @@ func main() {
 			tb := harness.E13Partition(e13Runs, e13Ops)
 			return []*trace.Table{tb, trace.CountersTable("e13 partition counters")}
 		}},
-		{"e14", func() []*trace.Table {
-			// E14 measures the real runtime (UDP loopback + fsync), so it
-			// resets the global counters around each mode itself.
-			return []*trace.Table{harness.E14Pipeline(e14Msgs)}
-		}},
-		{"e16", func() []*trace.Table {
-			// E16 measures the batched vs unbatched transport under
-			// open-loop load; like E14 it resets counters per mode itself.
-			return []*trace.Table{harness.E16Batching(*clients, e16Msgs, *rate)}
-		}},
-		{"e17", func() []*trace.Table {
+		{"e17", one(func() *trace.Table {
 			// E17 compares the two total-order modes on the real runtime
-			// and measures leader failover; it resets counters per run.
-			return []*trace.Table{
-				harness.E17LeaderLatency(e17Msgs, e17Rate, *orderFlag),
-				harness.E17Failover(e17FailMsgs, e17Rate, e17SuspectMs),
-			}
-		}},
+			// (UDP loopback + fsync); it resets counters per run itself.
+			return harness.E17LeaderLatency(e17Msgs, e17Rate, order)
+		})},
 		{"e15", func() []*trace.Table {
 			// E15 exercises the compaction + streamed-transfer robustness
 			// machinery; report the counters it leaves behind.
@@ -235,43 +244,5 @@ func main() {
 		{"a1", one(func() *trace.Table { return harness.A1RepairPolicy(0.10) })},
 		{"a2", one(harness.A2ClockMode)},
 		{"a3", one(harness.A3FlowControl)},
-		{"bench", one(microbenchTable)},
-	}
-
-	doc := jsonDoc{Schema: "ftmpbench/4", SeedOffset: *seed, Quick: *quick,
-		OpenLoopClients: *clients, OpenLoopRate: *rate}
-	ran := 0
-	for _, e := range experiments {
-		if !sel(e.name) {
-			continue
-		}
-		if !*jsonFlag {
-			fmt.Printf("=== %s ===\n", strings.ToUpper(e.name))
-		}
-		for _, tb := range e.run() {
-			if *jsonFlag {
-				doc.Tables = append(doc.Tables, jsonTable{
-					Name:    e.name,
-					Title:   tb.Title(),
-					Headers: tb.Headers(),
-					Rows:    tb.Rows(),
-				})
-			} else {
-				fmt.Println(tb.String())
-			}
-		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; known: fig2 fig3 e1..e17 a1 a2 a3 bench all\n", *expFlag)
-		os.Exit(2)
-	}
-	if *jsonFlag {
-		out, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ftmpbench: json: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
 	}
 }

@@ -258,16 +258,11 @@ func main() {
 	// membership epoch is retained so the compacted log still resumes the
 	// group (the removed segments may hold the only RecEpoch).
 	if log != nil && *compactEvery > 0 {
-		go func() {
-			ticker := time.NewTicker(*compactEvery)
-			defer ticker.Stop()
-			var lastCut ids.Timestamp
-			if cut, ok := log.LastCheckpoint(); ok {
-				lastCut = cut
-			}
-			for range ticker.C {
-				var cut ids.Timestamp
-				var retain []wal.Record
+		compactor := wal.NewCompactor(wal.CompactorConfig{
+			Log: log,
+			// Runs inside WALExec, on the goroutine that owns the log; the
+			// loop goroutine is free to answer Do.
+			Snapshot: func() (cut ids.Timestamp, state []byte, retain []wal.Record, err error) {
 				r.Do(func(node *core.Node, now int64) {
 					if st, ok := node.Status(group); ok && !st.Wedged && st.Joined {
 						cut = st.Stable
@@ -276,34 +271,24 @@ func main() {
 						}}}
 					}
 				})
-				if cut == 0 || cut <= lastCut {
-					continue
-				}
-				var compacted bool
-				var segs int
-				var disk int64
+				return cut, nil, retain, nil
+			},
+		})
+		go func() {
+			ticker := time.NewTicker(*compactEvery)
+			defer ticker.Stop()
+			for range ticker.C {
 				err := r.WALExec(func() error {
-					if log.Segments() <= 2 {
-						return nil // too short to be worth a checkpoint write
+					compacted, err := compactor.MaybeCompact()
+					if compacted && !*quietFlag {
+						cut, _ := log.LastCheckpoint()
+						fmt.Fprintf(os.Stderr, "ftmpd: wal: compacted at cut %v (%d segments, %d bytes on disk)\n",
+							cut, log.Segments(), log.DiskBytes())
 					}
-					if err := log.Compact(cut, nil, retain); err != nil {
-						return err
-					}
-					compacted = true
-					segs, disk = log.Segments(), log.DiskBytes()
-					return nil
+					return err
 				})
 				if err != nil {
 					fmt.Fprintf(os.Stderr, "ftmpd: wal: compact: %v\n", err)
-					continue
-				}
-				if !compacted {
-					continue
-				}
-				lastCut = cut
-				if !*quietFlag {
-					fmt.Fprintf(os.Stderr, "ftmpd: wal: compacted at cut %v (%d segments, %d bytes on disk)\n",
-						cut, segs, disk)
 				}
 			}
 		}()

@@ -253,25 +253,3 @@ func (f *Infra) CompactWAL(cut ids.Timestamp) error {
 	trace.Inc("ftcorba.wal_compactions")
 	return nil
 }
-
-// WALCompactor returns a wal.Compactor that checkpoints this
-// infrastructure, gated on the stability cut supplied by stable (return
-// 0 while no cut is known). Drive MaybeCompact from the delivery
-// goroutine (or runtime.Runner.WALExec).
-func (f *Infra) WALCompactor(stable func() ids.Timestamp, minSegments int) *wal.Compactor {
-	return wal.NewCompactor(wal.CompactorConfig{
-		Log:         f.wal,
-		MinSegments: minSegments,
-		Snapshot: func() (ids.Timestamp, []byte, []wal.Record, error) {
-			cut := stable()
-			if cut == 0 {
-				return 0, nil, nil, nil
-			}
-			state, err := f.encodeCheckpoint()
-			if err != nil {
-				return 0, nil, nil, err
-			}
-			return cut, state, f.retainRecords(), nil
-		},
-	})
-}

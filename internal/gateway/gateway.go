@@ -11,7 +11,6 @@ package gateway
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +22,6 @@ import (
 	"ftmp/internal/orb"
 	"ftmp/internal/runtime"
 	"ftmp/internal/trace"
-	"ftmp/internal/transport"
 )
 
 // Gateway listens for IIOP connections and forwards requests onto one
@@ -56,13 +54,10 @@ type Gateway struct {
 	CallRetries    int
 	CallRetryDelay time.Duration
 
-	lis      net.Listener
-	stop     chan struct{}
-	mu       sync.Mutex
-	conns    map[net.Conn]bool
-	closed   bool
-	wg       sync.WaitGroup
-	inflight int64
+	lis       *orb.Listener
+	stop      chan struct{}
+	closeOnce sync.Once
+	inflight  int64
 }
 
 // shedCloseAfter is how many consecutive shed requests on one client
@@ -72,7 +67,7 @@ const shedCloseAfter = 8
 // New creates a gateway that forwards over conn via infra, serialized
 // through the runner's event loop.
 func New(runner *runtime.Runner, infra *ftcorba.Infra, conn ids.ConnectionID) *Gateway {
-	return &Gateway{
+	g := &Gateway{
 		runner:         runner,
 		infra:          infra,
 		conn:           conn,
@@ -80,111 +75,44 @@ func New(runner *runtime.Runner, infra *ftcorba.Infra, conn ids.ConnectionID) *G
 		CallRetries:    5,
 		CallRetryDelay: 20 * time.Millisecond,
 		stop:           make(chan struct{}),
-		conns:          make(map[net.Conn]bool),
 	}
+	g.lis = orb.NewListener(g.handler)
+	return g
 }
 
 // Listen starts accepting IIOP connections on addr and returns the
 // bound address.
-func (g *Gateway) Listen(addr string) (string, error) {
-	lis, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	g.lis = lis
-	g.wg.Add(1)
-	go g.acceptLoop()
-	return lis.Addr().String(), nil
-}
+func (g *Gateway) Listen(addr string) (string, error) { return g.lis.Listen(addr) }
 
-func (g *Gateway) isClosed() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.closed
-}
-
-func (g *Gateway) acceptLoop() {
-	defer g.wg.Done()
-	guard := transport.RetryGuard{Name: "gateway accept", Counter: "gateway.accept"}
-	for {
-		conn, err := g.lis.Accept()
-		if err != nil {
-			// Transient accept failures (e.g. file-descriptor pressure)
-			// must not kill the listener for all future clients.
-			if g.isClosed() || !guard.Admit(err) {
-				return
-			}
-			continue
-		}
-		guard.OK()
-		g.mu.Lock()
-		if g.closed {
-			g.mu.Unlock()
-			conn.Close()
-			return
-		}
-		g.conns[conn] = true
-		g.mu.Unlock()
-		g.wg.Add(1)
-		go g.serveConn(conn)
-	}
-}
-
-func (g *Gateway) serveConn(conn net.Conn) {
-	defer g.wg.Done()
-	defer func() {
-		g.mu.Lock()
-		delete(g.conns, conn)
-		g.mu.Unlock()
-		conn.Close()
-	}()
-	// Replies may complete out of submission order (oneways interleave),
-	// so writes are serialized.
+// handler returns one client connection's message handler: requests are
+// admitted or shed, and an admitted one is forwarded to the group while
+// the connection's reader waits for the reply.
+func (g *Gateway) handler() orb.Handler {
+	messageError, _ := giop.Encode(giop.Message{Type: giop.MsgMessageError, MessageError: &giop.MessageError{}}, false)
 	sheds := 0
-	var wmu sync.Mutex
-	write := func(buf []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		_, err := conn.Write(buf)
-		return err
-	}
-	for {
-		raw, err := giop.ReadMessage(conn)
-		if err != nil {
-			return
-		}
-		msg, err := giop.Decode(raw)
-		if err != nil {
-			out, _ := giop.Encode(giop.Message{Type: giop.MsgMessageError, MessageError: &giop.MessageError{}}, false)
-			_ = write(out)
-			continue
-		}
-		switch msg.Type {
-		case giop.MsgRequest:
-			if !g.admit() {
-				sheds++
-				trace.Inc("gateway.shed")
-				out, _ := giop.Encode(giop.Message{Type: giop.MsgMessageError, MessageError: &giop.MessageError{}}, false)
-				_ = write(out)
-				if sheds >= shedCloseAfter {
-					trace.Inc("gateway.overload_close")
-					out, _ := giop.Encode(giop.Message{Type: giop.MsgCloseConnection, CloseConnection: &giop.CloseConnection{}}, false)
-					_ = write(out)
-					return
-				}
-				continue
-			}
-			sheds = 0
-			g.forward(msg, write)
-			g.release()
-		case giop.MsgCloseConnection:
-			return
-		default:
+	return func(msg giop.Message, write func([]byte) error) bool {
+		if msg.Type != giop.MsgRequest {
 			// LocateRequest and friends are not meaningful through the
 			// gateway; answer MessageError so clients fail fast.
-			out, _ := giop.Encode(giop.Message{Type: giop.MsgMessageError, MessageError: &giop.MessageError{}}, false)
-			_ = write(out)
+			_ = write(messageError)
+			return true
 		}
+		if !g.admit() {
+			sheds++
+			trace.Inc("gateway.shed")
+			_ = write(messageError)
+			if sheds >= shedCloseAfter {
+				trace.Inc("gateway.overload_close")
+				out, _ := giop.Encode(giop.Message{Type: giop.MsgCloseConnection, CloseConnection: &giop.CloseConnection{}}, false)
+				_ = write(out)
+				return false
+			}
+			return true
+		}
+		sheds = 0
+		g.forward(msg, write)
+		g.release()
+		return true
 	}
 }
 
@@ -316,25 +244,9 @@ func encodeGatewayExc(err error) []byte {
 	return e.Bytes()
 }
 
-// Close stops the listener and open connections.
+// Close stops the listener and open connections, releasing every
+// request still waiting for the group's reply.
 func (g *Gateway) Close() {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		return
-	}
-	close(g.stop)
-	g.closed = true
-	conns := make([]net.Conn, 0, len(g.conns))
-	for c := range g.conns {
-		conns = append(conns, c)
-	}
-	g.mu.Unlock()
-	if g.lis != nil {
-		g.lis.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	g.wg.Wait()
+	g.closeOnce.Do(func() { close(g.stop) })
+	g.lis.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -432,5 +433,51 @@ func TestGatewayOneway(t *testing.T) {
 			t.Fatalf("oneway not applied: %d %d", v1, v2)
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// flakyListener fails its first Accept the way a descriptor shortage
+// does, then serves.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestGatewaySurvivesAcceptError: one transient Accept failure must not
+// end the gateway; a client that dials afterwards reaches the group.
+func TestGatewaySurvivesAcceptError(t *testing.T) {
+	w := buildWorld(t)
+	gw := gateway.New(w.runners[3], w.infras[3], conn)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &flakyListener{Listener: lis}
+	addr := gw.Serve(flaky)
+	defer gw.Close()
+
+	cli, err := orb.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	e := giop.NewEncoder(false)
+	e.LongLong(5)
+	out, err := cli.Invoke("counter", "add", e.Bytes())
+	if err != nil {
+		t.Fatalf("Invoke after a failed Accept: %v", err)
+	}
+	if got := giop.NewDecoder(out, false).LongLong(); got != 5 {
+		t.Errorf("add(5) = %d", got)
+	}
+	if !flaky.failed.Load() {
+		t.Error("the listener never failed an Accept")
 	}
 }

@@ -1,6 +1,6 @@
 // Package harness wires FTMP nodes into the simulated network and runs
 // the repository's experiments. It is the substrate of the integration
-// tests, the benchmark suite (bench_test.go) and cmd/ftmpbench.
+// tests and cmd/ftmpbench.
 package harness
 
 import (

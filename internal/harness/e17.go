@@ -13,24 +13,43 @@ package harness
 // assignment arrive, independent of what the slowest member has said
 // lately.
 //
-// E17 measures that difference end to end with every runtime stage
-// wide (see live.go: real UDP loopback, a write-ahead log with
-// fsync=always on every replica), an open-loop generator offering the
-// same rate to both modes, at 3 and 5 members. Latency is send-to-deliver, sampled at every
-// replica (the table aggregates all replicas' samples: the order
-// property is group-wide, not sender-local). A separate run kills the
-// leader mid-stream and reports how long until a survivor delivers the
-// first message sequenced by the new leader — the failover cost that
-// leader mode introduces and the Lamport mode does not have.
+// Unlike E1-E13, which run on the deterministic simulated network, E17
+// measures the real runtime: n replicas in one process, each a
+// runtime.Runner with every stage wide on its own UDP socket on the
+// loopback interface, with its own write-ahead log (fsync=always on a
+// temporary directory). Replica 1 runs an open-loop generator offering
+// the same rate of small sequence-numbered messages to both modes, at 3
+// and 5 members. Latency is send-to-deliver against the generator's
+// send stamps, sampled at every replica (the table aggregates all
+// replicas' samples: the order property is group-wide, not
+// sender-local).
+//
+// This is the one wall-clock experiment ftmpbench keeps, because it
+// compares two shipped protocol modes on the same cluster. How fast the
+// implementation itself runs (stage widths, syscall vectors, fsync
+// amortization, leader failover time) is benchmark/'s question.
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"ftmp/internal/core"
 	"ftmp/internal/ids"
+	"ftmp/internal/runtime"
 	"ftmp/internal/trace"
+	"ftmp/internal/transport"
+	"ftmp/internal/wal"
+	"ftmp/internal/wire"
+)
+
+const (
+	e17Group    = ids.GroupID(1700)
+	liveWarmup  = 50 // unmeasured closed-loop messages that settle the group first
+	livePayload = 64 // bytes per message (sequence number in the first 8)
 )
 
 // E17Result is one (mode, group size) measurement.
@@ -40,7 +59,6 @@ type E17Result struct {
 	Msgs           int
 	OfferedRate    float64 // msg/s the generator scheduled
 	AchievedRate   float64 // msg/s actually delivered at the sender
-	Seconds        float64
 	P50, P99, P999 float64 // send->deliver latency over all replicas, ms
 	LeaderAssigned uint64  // sequences assigned (leader mode)
 	FollowerNacks  uint64  // targeted gap NACKs (leader mode)
@@ -48,112 +66,226 @@ type E17Result struct {
 	Err            error
 }
 
-// E17FailoverResult is the leader-kill measurement.
-type E17FailoverResult struct {
-	Members    int
-	SuspectMs  int
-	FailoverMs float64 // leader kill -> first new-term delivery at a survivor
-	Delivered  []int64 // payload messages each replica delivered; the leader's stop at the kill
-	Err        error
+type liveNode struct {
+	r    *runtime.Runner
+	mesh *transport.UDPMesh
+	log  *wal.Log
+	dir  string
+	got  atomic.Int64 // payload messages delivered
 }
 
-const e17Group = ids.GroupID(1700)
+// liveCluster is n durable replicas on UDP loopback; replica 1 (index
+// 0) generates the stream.
+type liveCluster struct {
+	nodes     []*liveNode
+	total     int     // warm-up + measured messages
+	sendTimes []int64 // unix ns at which each sequence number was sent
+	latMu     sync.Mutex
+	lat       trace.Histogram // send->deliver of measured messages, ms
+	done      chan struct{}   // closed once the sender has delivered all total
+}
 
-// RunE17 measures one mode at one group size: an open-loop generator on
-// replica 1 offering rate msg/s until msgs measured messages have been
-// sent, with every replica durable (fsync=always) and every replica's
-// send-to-deliver latency aggregated into one distribution.
+// newLiveCluster starts the replicas, connects the full mesh and
+// creates the group. The cluster is returned even on error, for close.
+func newLiveCluster(order core.OrderMode, n, msgs int) (*liveCluster, error) {
+	c := &liveCluster{
+		total:     liveWarmup + msgs,
+		sendTimes: make([]int64, liveWarmup+msgs),
+		done:      make(chan struct{}),
+	}
+	var members ids.Membership
+	for i := 0; i < n; i++ {
+		nd := &liveNode{}
+		c.nodes = append(c.nodes, nd)
+		p := ids.ProcessorID(i + 1)
+		members = members.Add(p)
+
+		var err error
+		if nd.dir, err = os.MkdirTemp("", fmt.Sprintf("ftmp-e17-%v-p%d-", order, p)); err != nil {
+			return c, err
+		}
+		dfs, err := wal.NewDirFS(nd.dir)
+		if err != nil {
+			return c, err
+		}
+		nd.log, _, err = wal.Open(wal.Config{
+			FS:     dfs,
+			Policy: wal.SyncAlways,
+			Now:    func() int64 { return time.Now().UnixNano() },
+		})
+		if err != nil {
+			return c, err
+		}
+
+		cfg := core.DefaultConfig(p)
+		cfg.Order = order
+		cfg.PGMP.SuspectTimeout = 5_000_000_000 // no convictions under load
+		cb := core.Callbacks{
+			Transmit: func(wire.MulticastAddr, []byte) {}, // installed by the runner
+			Deliver:  func(d core.Delivery) { c.deliver(i, d) },
+		}
+		nd.r, err = runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
+			m, err := transport.NewUDPMesh("127.0.0.1:0", h)
+			nd.mesh = m
+			return m, err
+		}, runtime.Options{
+			RecvWorkers:   4,
+			DeliveryDepth: 1024,
+			SendShards:    2,
+			WAL:           nd.log,
+			WALBatch:      64,
+		})
+		if err != nil {
+			return c, err
+		}
+	}
+	for _, a := range c.nodes {
+		for _, b := range c.nodes {
+			if err := a.mesh.AddPeer(b.mesh.LocalAddr()); err != nil {
+				return c, err
+			}
+		}
+	}
+	for _, nd := range c.nodes {
+		nd.r.Do(func(node *core.Node, now int64) {
+			node.CreateGroup(now, e17Group, members)
+		})
+	}
+	return c, nil
+}
+
+// deliver is replica i's Deliver callback.
+func (c *liveCluster) deliver(i int, d core.Delivery) {
+	if len(d.Payload) != livePayload {
+		return
+	}
+	if seq := int64(binary.BigEndian.Uint64(d.Payload)); seq >= liveWarmup {
+		lat := float64(time.Now().UnixNano()-atomic.LoadInt64(&c.sendTimes[seq])) / 1e6
+		c.latMu.Lock()
+		c.lat.Add(lat)
+		c.latMu.Unlock()
+	}
+	if c.nodes[i].got.Add(1) == int64(c.total) && i == 0 {
+		close(c.done)
+	}
+}
+
+// send stamps message seq and multicasts it from replica 1.
+func (c *liveCluster) send(seq int) error {
+	payload := make([]byte, livePayload)
+	binary.BigEndian.PutUint64(payload, uint64(seq))
+	var err error
+	atomic.StoreInt64(&c.sendTimes[seq], time.Now().UnixNano())
+	c.nodes[0].r.Do(func(node *core.Node, now int64) {
+		err = node.Multicast(now, e17Group, ids.ConnectionID{}, 0, payload)
+	})
+	return err
+}
+
+// await polls until replica i has delivered n payload messages.
+func (c *liveCluster) await(i, n int, deadline time.Time) error {
+	for nd := c.nodes[i]; nd.got.Load() < int64(n); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("replica %d delivered only %d/%d", i+1, nd.got.Load(), n)
+		}
+	}
+	return nil
+}
+
+// run drives the whole stream and returns how long the measured part
+// took at the sender. The warm-up goes out closed loop and is awaited:
+// membership has settled and the path is warm before the clock starts.
+// The measured messages are open loop at rate msg/s: message k goes out
+// at start + k/rate whether or not earlier ones have been delivered. A
+// send the core rejects (transient group gating) is retried on a tight
+// schedule — dropping it would deadlock completion accounting — but the
+// clock never stops, so sustained rejection shows up as achieved <
+// offered. A replica that never delivers the whole stream is an error.
+func (c *liveCluster) run(rate float64) (time.Duration, error) {
+	for seq := 0; seq < liveWarmup; seq++ {
+		if err := c.send(seq); err != nil {
+			return 0, err
+		}
+	}
+	if err := c.await(0, liveWarmup, time.Now().Add(30*time.Second)); err != nil {
+		return 0, err
+	}
+
+	start := time.Now()
+	interval := time.Duration(float64(time.Second) / rate)
+	for k := 0; k < c.total-liveWarmup; k++ {
+		if d := time.Until(start.Add(time.Duration(k) * interval)); d > 0 {
+			time.Sleep(d)
+		}
+		for c.send(liveWarmup+k) != nil {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	select {
+	case <-c.done:
+	case <-time.After(120 * time.Second):
+		return 0, fmt.Errorf("measured stream never completed (%d/%d)", c.nodes[0].got.Load(), c.total)
+	}
+	elapsed := time.Since(start)
+
+	deadline := time.Now().Add(30 * time.Second)
+	for i := range c.nodes {
+		if err := c.await(i, c.total, deadline); err != nil {
+			return 0, err
+		}
+	}
+	// Every log durable and every runner stopped, so that the counters
+	// are final.
+	for _, nd := range c.nodes {
+		if err := nd.r.WALSync(); err != nil {
+			return 0, err
+		}
+		nd.r.Close()
+	}
+	return elapsed, nil
+}
+
+// close releases whatever newLiveCluster got as far as creating.
+func (c *liveCluster) close() {
+	for _, nd := range c.nodes {
+		if nd.r != nil {
+			nd.r.Close()
+		}
+		if nd.log != nil {
+			_ = nd.log.Close()
+		}
+		if nd.dir != "" {
+			_ = os.RemoveAll(nd.dir)
+		}
+	}
+}
+
+// RunE17 measures one mode at one group size: msgs measured messages
+// offered at rate msg/s, every replica's send-to-deliver latency
+// aggregated into one distribution.
 func RunE17(order core.OrderMode, n, msgs int, rate float64) E17Result {
 	res := E17Result{Mode: order.String(), Members: n, Msgs: msgs, OfferedRate: rate}
-	fail := func(err error) E17Result { res.Err = err; return res }
-	if n < 2 || rate <= 0 {
-		return fail(fmt.Errorf("e17 needs n >= 2 and rate > 0"))
-	}
-
 	trace.ResetCounters()
-	c, err := newLiveCluster(liveSpec{name: "e17-" + res.Mode, n: n, group: e17Group, order: order,
-		msgs: msgs, sampleAll: true, wide: true})
+	c, err := newLiveCluster(order, n, msgs)
 	defer c.close()
-	if err != nil {
-		return fail(err)
-	}
-	if err := c.warmup(c.sendPlain); err != nil {
-		return fail(err)
-	}
-	elapsed, err := c.complete(c.openLoop(rate, c.sendPlain, nil))
+	var elapsed time.Duration
 	if err == nil {
-		err = c.stop()
+		elapsed, err = c.run(rate)
 	}
 	if err != nil {
-		return fail(err)
+		res.Err = err
+		return res
 	}
 
-	res.Seconds = elapsed.Seconds()
-	res.AchievedRate = float64(msgs) / res.Seconds
+	res.AchievedRate = float64(msgs) / elapsed.Seconds()
 	res.P50 = c.lat.P50()
 	res.P99 = c.lat.P99()
 	res.P999 = c.lat.P999()
 	res.LeaderAssigned = trace.Counter("core.leader_seq_assigned")
 	res.FollowerNacks = trace.Counter("core.follower_gap_nacks")
-	res.Delivered = c.delivered()
-	return res
-}
-
-// RunE17Failover streams from a follower, kills the leader mid-stream
-// and measures kill -> first delivery of a message sequenced by the new
-// leader, observed at the surviving non-sender replica. suspectMs is
-// the conviction timeout, the dominant term of the gap.
-func RunE17Failover(msgs int, rate float64, suspectMs int) E17FailoverResult {
-	const n = 3
-	res := E17FailoverResult{Members: n, SuspectMs: suspectMs}
-	fail := func(err error) E17FailoverResult { res.Err = err; return res }
-
-	trace.ResetCounters()
-	// The witness (replica 3) notes the wall time of the first delivery
-	// carrying a post-failover sequencing term.
-	var newTermAt atomic.Int64
-	// Replica 2 sends: it survives the kill (and, as the lowest
-	// surviving identifier, takes over sequencing).
-	c, err := newLiveCluster(liveSpec{name: "e17-failover", n: n, group: e17Group, order: core.OrderLeader,
-		suspectMs: suspectMs, msgs: msgs, sender: 1, wide: true,
-		onDeliver: func(i int, d core.Delivery) {
-			if i == 2 && d.OrderEpoch > 0 {
-				newTermAt.CompareAndSwap(0, time.Now().UnixNano())
-			}
-		}})
-	defer c.close()
-	if err != nil {
-		return fail(err)
+	for _, nd := range c.nodes {
+		res.Delivered = append(res.Delivered, nd.got.Load())
 	}
-	if err := c.warmup(c.sendPlain); err != nil {
-		return fail(err)
-	}
-
-	// Open loop through the kill: a third of the way in, the leader
-	// (replica 1) fail-stops. The generator keeps offering; sends the
-	// wedged group rejects are retried until recovery admits them.
-	var tKill int64
-	start := c.openLoop(rate, c.sendPlain, func(k int) {
-		if k == msgs/3 {
-			tKill = time.Now().UnixNano()
-			c.kill(0)
-		}
-	})
-	// Survivors must finish the stream (the witness too).
-	_, err = c.complete(start)
-	if err == nil {
-		err = c.stop()
-	}
-	if err != nil {
-		return fail(err)
-	}
-
-	at := newTermAt.Load()
-	if at == 0 || tKill == 0 {
-		return fail(fmt.Errorf("no new-term delivery observed after the kill"))
-	}
-	res.FailoverMs = float64(at-tKill) / 1e6
-	res.Delivered = c.delivered()
 	return res
 }
 
@@ -194,19 +326,5 @@ func E17LeaderLatency(msgs int, rate float64, modes string) *trace.Table {
 			row(led, ratio)
 		}
 	}
-	return tb
-}
-
-// E17Failover regenerates experiment E17's failover table.
-func E17Failover(msgs int, rate float64, suspectMs int) *trace.Table {
-	tb := trace.NewTable(
-		"E17: leader-kill failover (3 durable replicas, follower keeps sending through the kill)",
-		"members", "suspect ms", "kill -> first new-term delivery ms")
-	r := RunE17Failover(msgs, rate, suspectMs)
-	if r.Err != nil {
-		tb.AddRow(r.Members, r.SuspectMs, "FAILED: "+r.Err.Error())
-		return tb
-	}
-	tb.AddRow(r.Members, r.SuspectMs, fmt.Sprintf("%.1f", r.FailoverMs))
 	return tb
 }

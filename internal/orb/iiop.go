@@ -6,67 +6,106 @@ import (
 	"sync"
 
 	"ftmp/internal/giop"
+	"ftmp/internal/transport"
 )
 
-// Server is an IIOP endpoint: GIOP messages over TCP, dispatched to an
-// object adapter. It is the unreplicated point-to-point baseline the
-// paper contrasts with FTMP's logical connections (section 4).
-type Server struct {
-	Adapter *Adapter
+// Handler handles one decoded GIOP message from an accepted
+// connection. write sends an encoded message back on that connection
+// and is safe to call from any goroutine, also after Handler returned.
+// Returning false closes the connection.
+type Handler func(msg giop.Message, write func([]byte) error) bool
 
-	lis    net.Listener
+// Listener is the accept side of IIOP, GIOP messages over TCP: it
+// accepts connections, frames and decodes what arrives on each, answers
+// undecodable bytes with MessageError and hands everything else to the
+// connection's Handler. Server and the gateway are its two handlers.
+type Listener struct {
+	// perConn is called once per accepted connection, so a handler can
+	// keep per-connection state.
+	perConn func() Handler
+
 	mu     sync.Mutex
+	lis    net.Listener
 	conns  map[net.Conn]bool
 	closed bool
 	wg     sync.WaitGroup
 }
 
-// NewServer returns a server over the given adapter.
-func NewServer(adapter *Adapter) *Server {
-	return &Server{Adapter: adapter, conns: make(map[net.Conn]bool)}
+// NewListener returns a listener that serves each accepted connection
+// with the Handler perConn returns for it.
+func NewListener(perConn func() Handler) *Listener {
+	return &Listener{perConn: perConn, conns: make(map[net.Conn]bool)}
 }
 
 // Listen starts accepting IIOP connections on addr (e.g. "127.0.0.1:0")
 // and returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
+func (l *Listener) Listen(addr string) (string, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", err
 	}
-	s.lis = lis
-	s.wg.Add(1)
-	go s.acceptLoop()
-	return lis.Addr().String(), nil
+	return l.Serve(lis), nil
 }
 
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
+// Serve starts accepting connections from lis on its own goroutine and
+// returns lis's address. Close closes lis.
+func (l *Listener) Serve(lis net.Listener) string {
+	l.mu.Lock()
+	l.lis = lis
+	l.mu.Unlock()
+	l.wg.Add(1)
+	go l.acceptLoop(lis)
+	return lis.Addr().String()
+}
+
+func (l *Listener) acceptLoop(lis net.Listener) {
+	defer l.wg.Done()
+	guard := transport.RetryGuard{Name: "iiop accept", Counter: "orb.accept"}
 	for {
-		conn, err := s.lis.Accept()
+		conn, err := lis.Accept()
 		if err != nil {
-			return
+			// Transient accept failures (e.g. file-descriptor pressure)
+			// must not kill the listener for all future clients.
+			l.mu.Lock()
+			closed := l.closed
+			l.mu.Unlock()
+			if closed || !guard.Admit(err) {
+				return
+			}
+			continue
 		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
+		guard.OK()
+		l.mu.Lock()
+		if l.closed {
+			l.mu.Unlock()
 			conn.Close()
 			return
 		}
-		s.conns[conn] = true
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
+		l.conns[conn] = true
+		l.mu.Unlock()
+		l.wg.Add(1)
+		go l.serveConn(conn)
 	}
 }
 
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
+func (l *Listener) serveConn(conn net.Conn) {
+	defer l.wg.Done()
 	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
+		l.mu.Lock()
+		delete(l.conns, conn)
+		l.mu.Unlock()
 		conn.Close()
 	}()
+	// A handler may answer from another goroutine (the gateway's replies
+	// complete on the runner loop), so writes are serialized.
+	var wmu sync.Mutex
+	write := func(buf []byte) error {
+		wmu.Lock()
+		defer wmu.Unlock()
+		_, err := conn.Write(buf)
+		return err
+	}
+	handle := l.perConn()
 	for {
 		raw, err := giop.ReadMessage(conn)
 		if err != nil {
@@ -75,56 +114,76 @@ func (s *Server) serveConn(conn net.Conn) {
 		msg, err := giop.Decode(raw)
 		if err != nil {
 			out, _ := giop.Encode(giop.Message{Type: giop.MsgMessageError, MessageError: &giop.MessageError{}}, false)
-			conn.Write(out)
+			_ = write(out)
 			continue
 		}
-		switch msg.Type {
-		case giop.MsgRequest:
-			reply := s.Adapter.Dispatch(msg.Request)
-			if reply == nil {
-				continue // oneway
-			}
-			out, err := giop.Encode(giop.Message{Type: giop.MsgReply, Reply: reply}, msg.LittleEndian)
-			if err != nil {
-				return
-			}
-			if _, err := conn.Write(out); err != nil {
-				return
-			}
-		case giop.MsgLocateRequest:
-			lr := s.Adapter.Locate(msg.LocateRequest)
-			out, err := giop.Encode(giop.Message{Type: giop.MsgLocateReply, LocateReply: lr}, msg.LittleEndian)
-			if err != nil {
-				return
-			}
-			if _, err := conn.Write(out); err != nil {
-				return
-			}
-		case giop.MsgCloseConnection:
+		if msg.Type == giop.MsgCloseConnection || !handle(msg, write) {
 			return
-		default:
-			// CancelRequest and friends: nothing to do in this ORB.
 		}
 	}
 }
 
-// Close stops the server and its connections.
-func (s *Server) Close() {
-	s.mu.Lock()
-	s.closed = true
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
+// Close stops accepting, closes the open connections and waits for
+// their handlers to return.
+func (l *Listener) Close() {
+	l.mu.Lock()
+	l.closed = true
+	lis := l.lis
+	conns := make([]net.Conn, 0, len(l.conns))
+	for c := range l.conns {
 		conns = append(conns, c)
 	}
-	s.mu.Unlock()
-	if s.lis != nil {
-		s.lis.Close()
+	l.mu.Unlock()
+	if lis != nil {
+		lis.Close()
 	}
 	for _, c := range conns {
 		c.Close()
 	}
-	s.wg.Wait()
+	l.wg.Wait()
 }
+
+// Server is an IIOP endpoint: GIOP messages over TCP, dispatched to an
+// object adapter. It is the unreplicated point-to-point baseline the
+// paper contrasts with FTMP's logical connections (section 4).
+type Server struct {
+	Adapter *Adapter
+	lis     *Listener
+}
+
+// NewServer returns a server over the given adapter.
+func NewServer(adapter *Adapter) *Server {
+	s := &Server{Adapter: adapter}
+	s.lis = NewListener(func() Handler { return s.handle })
+	return s
+}
+
+// Listen starts accepting IIOP connections on addr (e.g. "127.0.0.1:0")
+// and returns the bound address.
+func (s *Server) Listen(addr string) (string, error) { return s.lis.Listen(addr) }
+
+// handle dispatches one message to the adapter and writes its reply.
+func (s *Server) handle(msg giop.Message, write func([]byte) error) bool {
+	var reply giop.Message
+	switch msg.Type {
+	case giop.MsgRequest:
+		r := s.Adapter.Dispatch(msg.Request)
+		if r == nil {
+			return true // oneway
+		}
+		reply = giop.Message{Type: giop.MsgReply, Reply: r}
+	case giop.MsgLocateRequest:
+		reply = giop.Message{Type: giop.MsgLocateReply, LocateReply: s.Adapter.Locate(msg.LocateRequest)}
+	default:
+		// CancelRequest and friends: nothing to do in this ORB.
+		return true
+	}
+	out, err := giop.Encode(reply, msg.LittleEndian)
+	return err == nil && write(out) == nil
+}
+
+// Close stops the server and its connections.
+func (s *Server) Close() { s.lis.Close() }
 
 // Client is an IIOP client stub factory bound to one TCP connection.
 // Safe for concurrent use; requests are serialized on the wire and

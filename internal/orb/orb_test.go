@@ -2,7 +2,9 @@ package orb
 
 import (
 	"errors"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"ftmp/internal/giop"
@@ -286,5 +288,50 @@ func TestServerRejectsGarbage(t *testing.T) {
 	}
 	if decodeInt(t, out) != 0 {
 		t.Error("unexpected state")
+	}
+}
+
+// flakyListener fails its first Accept the way a descriptor shortage
+// does, then serves.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, errors.New("accept: too many open files")
+	}
+	return l.Listener.Accept()
+}
+
+// TestServerSurvivesAcceptError: one transient Accept failure must not
+// end a server nobody closed; a client that dials afterwards is served.
+func TestServerSurvivesAcceptError(t *testing.T) {
+	a := NewAdapter()
+	a.Register("counter", &counterServant{})
+	srv := NewServer(a)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := &flakyListener{Listener: lis}
+	addr := srv.lis.Serve(flaky)
+	defer srv.Close()
+
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	out, err := cli.Invoke("counter", "add", encodeInt(5))
+	if err != nil {
+		t.Fatalf("Invoke after a failed Accept: %v", err)
+	}
+	if got := decodeInt(t, out); got != 5 {
+		t.Errorf("add(5) = %d", got)
+	}
+	if !flaky.failed.Load() {
+		t.Error("the listener never failed an Accept")
 	}
 }

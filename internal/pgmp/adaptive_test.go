@@ -127,7 +127,7 @@ func TestArrivalTrackerWindowEviction(t *testing.T) {
 
 func TestBackoffDelayFixedWhenNoMax(t *testing.T) {
 	for attempt := 1; attempt <= 5; attempt++ {
-		if d := backoffDelay(20, 0, 0, attempt, 7); d != 20 {
+		if d := BackoffDelay(20, 0, 0, attempt, 7); d != 20 {
 			t.Fatalf("attempt %d: delay %d, want fixed 20", attempt, d)
 		}
 	}
@@ -136,7 +136,7 @@ func TestBackoffDelayFixedWhenNoMax(t *testing.T) {
 func TestBackoffDelayExponentialCapped(t *testing.T) {
 	want := []int64{20, 40, 80, 160, 200, 200}
 	for i, w := range want {
-		if d := backoffDelay(20, 200, 0, i+1, 7); d != w {
+		if d := BackoffDelay(20, 200, 0, i+1, 7); d != w {
 			t.Errorf("attempt %d: delay %d, want %d", i+1, d, w)
 		}
 	}
@@ -145,12 +145,12 @@ func TestBackoffDelayExponentialCapped(t *testing.T) {
 func TestBackoffDelayJitterDeterministicAndBounded(t *testing.T) {
 	const base, max = 1000, 100_000
 	for attempt := 1; attempt <= 6; attempt++ {
-		a := backoffDelay(base, max, 0.25, attempt, 42)
-		b := backoffDelay(base, max, 0.25, attempt, 42)
+		a := BackoffDelay(base, max, 0.25, attempt, 42)
+		b := BackoffDelay(base, max, 0.25, attempt, 42)
 		if a != b {
 			t.Fatalf("jitter nondeterministic: %d vs %d", a, b)
 		}
-		raw := backoffDelay(base, max, 0, attempt, 42)
+		raw := BackoffDelay(base, max, 0, attempt, 42)
 		lo, hi := raw*3/4, raw*5/4
 		if a < lo || a > hi {
 			t.Errorf("attempt %d: jittered %d outside [%d,%d]", attempt, a, lo, hi)
@@ -159,7 +159,7 @@ func TestBackoffDelayJitterDeterministicAndBounded(t *testing.T) {
 	// Different seeds decorrelate (at least one attempt differs).
 	same := true
 	for attempt := 1; attempt <= 6; attempt++ {
-		if backoffDelay(base, max, 0.25, attempt, 1) != backoffDelay(base, max, 0.25, attempt, 2) {
+		if BackoffDelay(base, max, 0.25, attempt, 1) != BackoffDelay(base, max, 0.25, attempt, 2) {
 			same = false
 		}
 	}

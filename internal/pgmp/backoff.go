@@ -2,14 +2,14 @@ package pgmp
 
 import "ftmp/internal/ids"
 
-// backoffDelay computes the retry delay for the given attempt (1-based)
+// BackoffDelay computes the retry delay for the given attempt (1-based)
 // of a periodic resend: exponential doubling from base capped at max,
 // with a deterministic ±jitter fraction derived from seed so retries
 // from different connections (or different attempts) decorrelate
 // without any global randomness — the pure layers must stay replayable.
 // max <= base disables backoff (fixed period, the historical behavior);
 // jitter <= 0 disables jitter.
-func backoffDelay(base, max int64, jitter float64, attempt int, seed uint64) int64 {
+func BackoffDelay(base, max int64, jitter float64, attempt int, seed uint64) int64 {
 	if base <= 0 {
 		return 0
 	}
@@ -36,8 +36,11 @@ func backoffDelay(base, max int64, jitter float64, attempt int, seed uint64) int
 	return d
 }
 
-// splitmix64 is the SplitMix64 mixing function: a cheap, well-dispersed
-// hash for deterministic jitter.
+// splitmix64 is a SplitMix64-style mixing function: a cheap,
+// well-dispersed hash for deterministic jitter. The last multiplier is
+// not SplitMix64's 0x94d049bb133111eb and must stay as it is: every
+// simulated retry schedule (E10's rejoin and connect-retry backoff among
+// them) is drawn through it, and those tables are byte-compared.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

@@ -128,7 +128,7 @@ func (c *Connections) RequestRetriesDue(now int64) []*wire.ConnectRequest {
 		if now >= p.nextRetry {
 			p.attempt++
 			c.attempts[k]++
-			p.nextRetry = now + backoffDelay(c.cfg.RequestRetry, c.cfg.RequestRetryMax,
+			p.nextRetry = now + BackoffDelay(c.cfg.RequestRetry, c.cfg.RequestRetryMax,
 				c.cfg.RequestRetryJitter, p.attempt, connSeed(k))
 			out = append(out, &wire.ConnectRequest{Conn: p.conn, Procs: p.procs.Clone()})
 			trace.Inc("pgmp.connect_retries")

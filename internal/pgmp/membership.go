@@ -571,7 +571,7 @@ func (g *Group) AddResendsDue(now int64) [][]byte {
 		pa := g.pendingAdds[p]
 		if now >= pa.nextResend {
 			pa.attempt++
-			pa.nextResend = now + backoffDelay(g.cfg.AddResend, g.cfg.AddResendMax,
+			pa.nextResend = now + BackoffDelay(g.cfg.AddResend, g.cfg.AddResendMax,
 				g.cfg.AddResendJitter, pa.attempt, uint64(p)^uint64(g.id)<<32)
 			out = append(out, pa.raw)
 			trace.Inc("pgmp.add_resends")

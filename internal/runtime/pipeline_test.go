@@ -315,7 +315,8 @@ func TestPipelineStressOverflowAndShutdown(t *testing.T) {
 // own goroutine: WALSync and WALExec reach the log before and after
 // Close, and with its unsynced bytes thrown away the log still holds
 // every delivery exactly once in delivery order and the installed view,
-// with no WAL error reported.
+// with no WAL error reported. Inline that costs an fsync per delivery; the
+// executor makes fewer than one per delivery out of a burst.
 func TestPipelineDurableGroupCommit(t *testing.T) {
 	for _, depth := range []int{0, 1024} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
@@ -330,8 +331,16 @@ func TestPipelineDurableGroupCommit(t *testing.T) {
 				WALBatch:      8,
 				OnWALError:    func(error) { walErrs.Add(1) },
 			}
-			commits := trace.Counter("wal.group_commits")
-			node := newPipeNodes(t, 1, pipeSpec{opts: opts, wlogs: []*wal.Log{wlog}})[0]
+			spec := pipeSpec{opts: opts, wlogs: []*wal.Log{wlog}}
+			// With an executor goroutine, hold it in its first callback
+			// until the whole burst is queued behind it, so that the
+			// commits that follow have something to group.
+			burst := make(chan struct{})
+			if depth > 0 {
+				spec.hook = func(*pnode, core.Delivery) { <-burst }
+			}
+			commits, fsyncs := trace.Counter("wal.group_commits"), trace.Counter("wal.fsyncs")
+			node := newPipeNodes(t, 1, spec)[0]
 			const msgs = 40
 			for i := 0; i < msgs; i++ {
 				node.r.Do(func(nd *core.Node, now int64) {
@@ -340,6 +349,7 @@ func TestPipelineDurableGroupCommit(t *testing.T) {
 					}
 				})
 			}
+			close(burst)
 			if !waitFor(t, 10*time.Second, func() bool { return len(node.delivered()) >= msgs }) {
 				t.Fatalf("delivered %d/%d", len(node.delivered()), msgs)
 			}
@@ -348,6 +358,13 @@ func TestPipelineDurableGroupCommit(t *testing.T) {
 			// The durability barrier: everything upcalled so far is on disk.
 			if err := node.r.WALSync(); err != nil {
 				t.Fatalf("WALSync: %v", err)
+			}
+			// Inline, every upcall is its own commit and so its own fsync;
+			// the executor amortizes one fsync over each chunk of the burst.
+			if made := trace.Counter("wal.fsyncs") - fsyncs; depth == 0 && made < msgs {
+				t.Errorf("%d fsyncs for %d deliveries, want one commit per upcall", made, msgs)
+			} else if depth > 0 && made >= msgs {
+				t.Errorf("%d fsyncs for a burst of %d deliveries: no group commit", made, msgs)
 			}
 			// After Close there is no loop and no executor goroutine left,
 			// and both calls still reach the log: WALExec closes it, so the

@@ -6,6 +6,7 @@ import (
 
 	"ftmp/internal/core"
 	"ftmp/internal/ids"
+	"ftmp/internal/pgmp"
 	"ftmp/internal/trace"
 )
 
@@ -26,38 +27,7 @@ type BackoffConfig struct {
 }
 
 func (b BackoffConfig) delay(attempt int, seed uint64) time.Duration {
-	base, max := int64(b.Initial), int64(b.Max)
-	if base <= 0 {
-		return 0
-	}
-	d := base
-	if max > base {
-		for i := 1; i < attempt && d < max; i++ {
-			d *= 2
-		}
-		if d > max {
-			d = max
-		}
-	}
-	if j := b.Jitter; j > 0 {
-		if j > 0.9 {
-			j = 0.9
-		}
-		h := splitmix(seed ^ (uint64(attempt) * 0x9e3779b97f4a7c15))
-		frac := float64(h>>11) / float64(uint64(1)<<53)
-		d = int64(float64(d) * (1 - j + 2*j*frac))
-		if d < 1 {
-			d = 1
-		}
-	}
-	return time.Duration(d)
-}
-
-func splitmix(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return time.Duration(pgmp.BackoffDelay(int64(b.Initial), int64(b.Max), b.Jitter, attempt, seed))
 }
 
 // Attempt is one live rejoin attempt: a freshly built node stack

@@ -37,7 +37,7 @@ func (l *Log) AppendBatch(rs []Record) error {
 		err = fmt.Errorf("short write (%d of %d bytes)", n, len(buf))
 	}
 	if err != nil {
-		l.err = fmt.Errorf("wal: append batch: %w", err)
+		l.err = fmt.Errorf("wal: append: %w", err)
 		return l.err
 	}
 	l.activeSz += int64(len(buf))

@@ -284,49 +284,11 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// Append encodes, frames and writes r, then applies the fsync policy.
-// Errors are sticky: after any failure the log refuses further appends
-// so a durability hole cannot be silently written past.
-func (l *Log) Append(r Record) error {
-	if l.err != nil {
-		return l.err
-	}
-	payload, err := EncodeRecord(r)
-	if err != nil {
-		return err // encoding error: caller bug, not a log failure
-	}
-	frame := appendFrame(make([]byte, 0, frameHeader+len(payload)), payload)
-	n, err := l.active.Write(frame)
-	if err == nil && n != len(frame) {
-		err = fmt.Errorf("short write (%d of %d bytes)", n, len(frame))
-	}
-	if err != nil {
-		l.err = fmt.Errorf("wal: append: %w", err)
-		return l.err
-	}
-	l.activeSz += int64(len(frame))
-	l.dirty = true
-	trace.Inc("wal.appends")
-	trace.Count("wal.bytes", uint64(len(frame)))
-
-	switch l.cfg.Policy {
-	case SyncAlways:
-		if err := l.Sync(); err != nil {
-			return err
-		}
-	case SyncInterval:
-		if now := l.cfg.Now(); now-l.lastSync >= l.cfg.Interval {
-			if err := l.Sync(); err != nil {
-				return err
-			}
-			l.lastSync = now
-		}
-	}
-	if l.activeSz >= l.cfg.SegmentSize {
-		return l.rotate()
-	}
-	return nil
-}
+// Append encodes, frames and writes r, then applies the fsync policy: a
+// batch of one (see AppendBatch). Errors are sticky: after any failure
+// the log refuses further appends so a durability hole cannot be
+// silently written past.
+func (l *Log) Append(r Record) error { return l.AppendBatch([]Record{r}) }
 
 // Sync forces buffered records to stable storage regardless of policy.
 func (l *Log) Sync() error {
