@@ -14,6 +14,8 @@
 //	ftmpbench -pprof :6060    # serve net/http/pprof while running
 //	ftmpbench -exp e17 -order both
 //	                          # leader vs Lamport ordering latency
+//	ftmpbench -exp e15b       # e15's simulated table alone (the golden
+//	                          # files hold it; "all" prints it under e15)
 package main
 
 import (
@@ -88,7 +90,7 @@ func main() {
 	doc := jsonDoc{Schema: "ftmpbench/4", SeedOffset: *seed, Quick: *quick}
 	ran := 0
 	for _, e := range experiments(*quick, *orderFlag) {
-		if !want["all"] && !want[e.name] {
+		if !want[e.name] && (!want["all"] || e.name == "e15b") {
 			continue
 		}
 		if *jsonFlag {
@@ -193,6 +195,7 @@ func experiments(quick bool, order string) []experiment {
 	one := func(f func() *trace.Table) func() []*trace.Table {
 		return func() []*trace.Table { return []*trace.Table{f()} }
 	}
+	e15b := func() *trace.Table { return harness.E15Rejoin(e15Pad) }
 	return []experiment{
 		{"fig2", one(harness.Fig2Encapsulation)},
 		{"fig3", one(harness.Fig3Matrix)},
@@ -237,10 +240,14 @@ func experiments(quick bool, order string) []experiment {
 			trace.ResetCounters()
 			return []*trace.Table{
 				harness.E15Recovery(e15Sizes, e15Every, e15Payload),
-				harness.E15Rejoin(e15Pad),
+				e15b(),
 				trace.CountersTable("e15 recovery counters"),
 			}
 		}},
+		// E15b is simulated and deterministic where E15a reads a real disk
+		// and clock, so it can also run alone, for the golden files; "all"
+		// has printed it under e15 and skips this entry.
+		{"e15b", one(e15b)},
 		{"a1", one(func() *trace.Table { return harness.A1RepairPolicy(0.10) })},
 		{"a2", one(harness.A2ClockMode)},
 		{"a3", one(harness.A3FlowControl)},

@@ -83,15 +83,8 @@ func inspect(w io.Writer, data []byte) error {
 		return fmt.Errorf("FTMP decode: %w", err)
 	}
 	h := m.Header
-	minor := wire.VersionMinor
-	switch h.Type {
-	case wire.TypePacked:
-		minor = wire.VersionMinorPacked
-	case wire.TypeMembership:
-		minor = wire.VersionMinorLineage
-	}
 	fmt.Fprintf(w, "FTMP header (%d bytes)\n", wire.HeaderSize)
-	fmt.Fprintf(w, "  magic            FTMP, version %d.%d\n", wire.VersionMajor, minor)
+	fmt.Fprintf(w, "  magic            FTMP, version %d.%d\n", data[4], data[5])
 	fmt.Fprintf(w, "  byte order       little-endian=%v\n", h.LittleEndian)
 	fmt.Fprintf(w, "  retransmission   %v\n", h.Retransmission)
 	fmt.Fprintf(w, "  message type     %v\n", h.Type)

@@ -9,6 +9,7 @@ import (
 	"ftmp/internal/giop"
 	"ftmp/internal/ids"
 	"ftmp/internal/wal"
+	"ftmp/internal/wire"
 )
 
 func TestInspectSample(t *testing.T) {
@@ -23,6 +24,35 @@ func TestInspectSample(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestInspectVersion: the version line is the header's own minor byte,
+// whatever the message type — 1.3 for the sequencing frames, which the
+// inspector used to report as 1.0.
+func TestInspectVersion(t *testing.T) {
+	refs := []wire.SeqRef{{Source: 1, Seq: 4}}
+	for _, tc := range []struct {
+		body wire.Body
+		want string
+	}{
+		{&wire.Regular{Payload: []byte("x")}, "version 1.0"},
+		{&wire.Packed{Entries: []wire.PackedEntry{{Seq: 1, TS: 5, Payload: []byte("x")}}}, "version 1.1"},
+		{&wire.MembershipMsg{CurrentMembership: ids.NewMembership(1, 2), NewMembership: ids.NewMembership(1)}, "version 1.2"},
+		{&wire.SeqData{Payload: []byte("x"), Epoch: 1, First: 4, Refs: refs}, "version 1.3"},
+		{&wire.SeqAssign{Epoch: 1, First: 4, Refs: refs}, "version 1.3"},
+	} {
+		raw, err := wire.Encode(wire.Header{Source: 1, DestGroup: 9, Seq: 4}, tc.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := inspect(&sb, raw); err != nil {
+			t.Fatalf("%v: %v", tc.body.Type(), err)
+		}
+		if !strings.Contains(sb.String(), tc.want) {
+			t.Errorf("%v: output missing %q:\n%s", tc.body.Type(), tc.want, sb.String())
 		}
 	}
 }

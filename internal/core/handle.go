@@ -488,12 +488,19 @@ func (n *Node) checkRecovery(gs *groupState, now int64) {
 	}
 }
 
+// wedgedQueueMax bounds the flow-control sendQueue retained while a
+// group is wedged (PGMP PrimaryPartition): at the moment of wedging the
+// backlog is truncated to its newest wedgedQueueMax entries (oldest
+// dropped, counted by core.wedged_queue_drops), so an arbitrarily long
+// partition cannot grow a minority node's memory without bound.
+const wedgedQueueMax = 64
+
 // wedgeGroup puts gs into the wedged state: no new view is installed,
 // ROMP delivery freezes at the current cut, fault detection and
 // recovery rounds stop (pgmp.Wedge), application sends are refused
 // (Multicast returns ErrWedged) and the flow-control backlog is
-// truncated to Config.WedgedQueueMax so a long partition cannot grow
-// memory without bound. The node keeps heartbeating — harmless, and it
+// truncated to wedgedQueueMax so a long partition cannot grow memory
+// without bound. The node keeps heartbeating — harmless, and it
 // lets the primary side see the minority as merely expelled — while
 // heal detection (healFromWedge) waits to hear a convicted processor
 // again.
@@ -503,13 +510,7 @@ func (n *Node) wedgeGroup(gs *groupState, now int64) {
 	}
 	gs.mem.Wedge()
 	gs.order.Freeze()
-	max := n.cfg.WedgedQueueMax
-	if max == 0 {
-		max = 64
-	} else if max < 0 {
-		max = 0
-	}
-	if drop := len(gs.sendQueue) - max; drop > 0 {
+	if drop := len(gs.sendQueue) - wedgedQueueMax; drop > 0 {
 		gs.sendQueue = append(gs.sendQueue[:0], gs.sendQueue[drop:]...)
 		trace.Count("core.wedged_queue_drops", uint64(drop))
 	}
@@ -729,7 +730,7 @@ func (n *Node) onConnectRequest(now int64, req *wire.ConnectRequest) {
 // round gate defers sponsorship during fault recovery — the probe's
 // retries re-trigger it once the new view installs.
 func (n *Node) maybeReadmit(now int64, gs *groupState, req *wire.ConnectRequest) {
-	if n.cfg.DisableAutoReadmit || gs.mem.InRecovery() {
+	if gs.mem.InRecovery() {
 		return
 	}
 	members := gs.mem.Members()

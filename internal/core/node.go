@@ -73,15 +73,6 @@ type Config struct {
 	// the implementation). Zero disables the bound.
 	MaxUnstable int
 
-	// WedgedQueueMax bounds the flow-control sendQueue retained while a
-	// group is wedged (PGMP PrimaryPartition): at the moment of wedging
-	// the backlog is truncated to its newest WedgedQueueMax entries
-	// (oldest dropped, counted by core.wedged_queue_drops), so an
-	// arbitrarily long partition cannot grow a minority node's memory
-	// without bound. Zero selects the default of 64; negative drops the
-	// whole backlog.
-	WedgedQueueMax int
-
 	// PromiscuousRepair makes every holder of a requested message answer
 	// RetransmitRequests, instead of the default policy (the source
 	// answers; others only when the source is suspected, convicted or
@@ -100,14 +91,6 @@ type Config struct {
 	// it. The designated member uses it to build processor groups for
 	// new connections.
 	ObjectGroups map[ids.ObjectGroupID]ids.Membership
-
-	// DisableAutoReadmit turns off the rejoin path in which the
-	// designated member of an established connection's group proposes an
-	// AddProcessor for an unknown processor retrying ConnectRequests for
-	// that connection (a crashed replica returning under a fresh
-	// fail-stop identifier). The default (false) admits such rejoiners
-	// automatically.
-	DisableAutoReadmit bool
 
 	// GroupAddr derives the multicast address for a processor group.
 	// Nil selects a deterministic default derivation, so that every

@@ -20,9 +20,6 @@ type PackConfig struct {
 	// Enabled turns packing on. Off by default: the wire traffic is then
 	// byte-identical to an FTMP 1.0 sender.
 	Enabled bool
-	// MaxBytes flushes the pack when its encoded size would pass this
-	// budget (default 1200, a conservative Ethernet-MTU datagram).
-	MaxBytes int
 	// MaxCount flushes the pack at this many entries (default 32).
 	MaxCount int
 	// MaxDelay bounds how long the oldest buffered message may wait
@@ -33,15 +30,12 @@ type PackConfig struct {
 
 // DefaultPackConfig returns packing enabled with the default policy.
 func DefaultPackConfig() PackConfig {
-	return PackConfig{Enabled: true, MaxBytes: 1200, MaxCount: 32, MaxDelay: 1_000_000}
+	return PackConfig{Enabled: true, MaxCount: 32, MaxDelay: 1_000_000}
 }
 
-func (c PackConfig) maxBytes() int {
-	if c.MaxBytes > 0 {
-		return c.MaxBytes
-	}
-	return 1200
-}
+// packMaxBytes is the pack's byte budget: it is flushed when its encoded
+// size would pass this (a conservative Ethernet-MTU datagram).
+const packMaxBytes = 1200
 
 func (c PackConfig) maxCount() int {
 	if c.MaxCount > 0 {
@@ -81,14 +75,14 @@ func (n *Node) sendRegular(now int64, gs *groupState, body *wire.Regular) error 
 // MaxDelay.
 func (n *Node) packRegular(now int64, gs *groupState, body *wire.Regular) error {
 	entrySize := wire.PackedEntryOverhead + len(body.Payload)
-	if wire.HeaderSize+4+entrySize > n.cfg.Pack.maxBytes() {
+	if wire.HeaderSize+4+entrySize > packMaxBytes {
 		// Too large to share a datagram: send standalone (sendReliable
 		// flushes the pending pack first, keeping wire order).
 		_, _, err := n.sendReliable(now, gs, body)
 		return err
 	}
 	if len(gs.packEntries) > 0 &&
-		(gs.packBytes+entrySize > n.cfg.Pack.maxBytes() ||
+		(gs.packBytes+entrySize > packMaxBytes ||
 			len(gs.packEntries) >= n.cfg.Pack.maxCount()) {
 		n.flushPack(now, gs)
 	}
@@ -119,7 +113,7 @@ func (n *Node) packRegular(now int64, gs *groupState, body *wire.Regular) error 
 		Seq: seq, TS: ts, Conn: body.Conn, RequestNum: body.RequestNum, Payload: body.Payload,
 	})
 	gs.packBytes += entrySize
-	if len(gs.packEntries) >= n.cfg.Pack.maxCount() || gs.packBytes >= n.cfg.Pack.maxBytes() {
+	if len(gs.packEntries) >= n.cfg.Pack.maxCount() || gs.packBytes >= packMaxBytes {
 		n.flushPack(now, gs)
 	}
 	return nil

@@ -73,7 +73,10 @@ func (f *Infra) encodeCheckpoint() ([]byte, error) {
 	for c := range f.nextReq {
 		conns[c] = true
 	}
-	for c := range f.water {
+	for c := range f.processed.water {
+		conns[c] = true
+	}
+	for c := range f.replied.water {
 		conns[c] = true
 	}
 	order := make([]ids.ConnectionID, 0, len(conns))
@@ -85,18 +88,14 @@ func (f *Infra) encodeCheckpoint() ([]byte, error) {
 	for _, c := range order {
 		encodeConn(e, c)
 		e.ULongLong(uint64(f.nextReq[c]))
-		var processed, replied ids.RequestNum
-		if w := f.water[c]; w != nil {
-			processed, replied = w.processedUpTo, w.repliedUpTo
-		}
-		e.ULongLong(uint64(processed))
-		e.ULongLong(uint64(replied))
+		e.ULongLong(uint64(f.processed.upTo(c)))
+		e.ULongLong(uint64(f.replied.upTo(c)))
 	}
 
 	// Sparse duplicate-filter entries above the watermarks (bounded by
 	// the filter compaction batch).
-	encodeKeys(e, f.processed)
-	encodeKeys(e, f.replied)
+	encodeKeys(e, f.processed.marks)
+	encodeKeys(e, f.replied.marks)
 	return e.Bytes(), nil
 }
 
@@ -139,16 +138,14 @@ func (f *Infra) restoreCheckpoint(state []byte) error {
 		if next > f.nextReq[c] {
 			f.nextReq[c] = next
 		}
-		f.advanceProcessed(c, processed)
-		f.advanceReplied(c, replied)
+		f.processed.advanceTo(c, processed)
+		f.replied.advanceTo(c, replied)
 	}
 	for _, k := range decodeKeys(dec) {
-		f.processed[k] = true
-		f.noteProcessed(k.conn, k.req)
+		f.processed.mark(k.conn, k.req)
 	}
 	for _, k := range decodeKeys(dec) {
-		f.replied[k] = true
-		f.noteReplied(k.conn, k.req)
+		f.replied.mark(k.conn, k.req)
 	}
 	return dec.Err()
 }

@@ -17,127 +17,88 @@ import (
 // compaction pass runs.
 const compactionBatch = 256
 
-// lowWater tracks per-connection contiguous completion.
+// dupFilter is one duplicate filter over (connection, request number)
+// pairs — Infra holds two, processed requests and replied requests: a
+// sparse set of marks above a per-connection contiguous watermark.
+type dupFilter struct {
+	marks map[callKey]bool
+	water map[ids.ConnectionID]*lowWater
+}
+
+// lowWater tracks one connection's contiguous completion.
 type lowWater struct {
-	// processedUpTo: every request number <= this has been dispatched
-	// (or observed dispatched) here.
-	processedUpTo ids.RequestNum
-	// repliedUpTo: every reply number <= this was delivered here.
-	repliedUpTo ids.RequestNum
-	// compaction progress (entries at or below are already deleted).
-	processedSwept ids.RequestNum
-	repliedSwept   ids.RequestNum
+	// upTo: every request number <= this is marked.
+	upTo ids.RequestNum
+	// swept is the compaction progress: marks at or below it are
+	// already deleted.
+	swept ids.RequestNum
 }
 
-// noteProcessed advances the processed watermark and compacts the
-// filter maps once enough contiguous entries accumulate.
-func (f *Infra) noteProcessed(conn ids.ConnectionID, req ids.RequestNum) {
-	if f.water == nil {
-		f.water = make(map[ids.ConnectionID]*lowWater)
-	}
-	w, ok := f.water[conn]
+func newDupFilter() dupFilter {
+	return dupFilter{marks: make(map[callKey]bool), water: make(map[ids.ConnectionID]*lowWater)}
+}
+
+func (d *dupFilter) low(conn ids.ConnectionID) *lowWater {
+	w, ok := d.water[conn]
 	if !ok {
 		w = &lowWater{}
-		f.water[conn] = w
+		d.water[conn] = w
 	}
-	for f.processed[callKey{conn, w.processedUpTo + 1}] {
-		w.processedUpTo++
+	return w
+}
+
+// mark records (conn, req), advances the watermark over it and compacts
+// the marks once enough contiguous ones accumulate.
+func (d *dupFilter) mark(conn ids.ConnectionID, req ids.RequestNum) {
+	d.marks[callKey{conn, req}] = true
+	w := d.low(conn)
+	for d.marks[callKey{conn, w.upTo + 1}] {
+		w.upTo++
 	}
-	if w.processedUpTo >= w.processedSwept+compactionBatch {
-		for r := w.processedSwept + 1; r <= w.processedUpTo; r++ {
-			delete(f.processed, callKey{conn, r})
-		}
-		w.processedSwept = w.processedUpTo
+	if w.upTo >= w.swept+compactionBatch {
+		d.sweep(conn, w, w.upTo)
 	}
 }
 
-// noteReplied advances the replied watermark and compacts.
-func (f *Infra) noteReplied(conn ids.ConnectionID, req ids.RequestNum) {
-	if f.water == nil {
-		f.water = make(map[ids.ConnectionID]*lowWater)
+// sweep deletes conn's marks up to upTo, which the watermark now covers.
+func (d *dupFilter) sweep(conn ids.ConnectionID, w *lowWater, upTo ids.RequestNum) {
+	for r := w.swept + 1; r <= upTo; r++ {
+		delete(d.marks, callKey{conn, r})
 	}
-	w, ok := f.water[conn]
-	if !ok {
-		w = &lowWater{}
-		f.water[conn] = w
-	}
-	for f.replied[callKey{conn, w.repliedUpTo + 1}] {
-		w.repliedUpTo++
-	}
-	if w.repliedUpTo >= w.repliedSwept+compactionBatch {
-		for r := w.repliedSwept + 1; r <= w.repliedUpTo; r++ {
-			delete(f.replied, callKey{conn, r})
-		}
-		w.repliedSwept = w.repliedUpTo
+	w.swept = upTo
+}
+
+// advanceTo jumps the watermark to upTo: everything at or below it
+// counts as marked. Used when a state snapshot or a checkpoint is
+// applied — it embodies that history, so per-request marks for it never
+// existed at this replica.
+func (d *dupFilter) advanceTo(conn ids.ConnectionID, upTo ids.RequestNum) {
+	if w := d.low(conn); upTo > w.upTo {
+		d.sweep(conn, w, upTo)
+		w.upTo = upTo
 	}
 }
 
-// advanceProcessed jumps the processed watermark to upTo: everything at
-// or below it counts as dispatched. Used when a state snapshot is
-// applied — the snapshot embodies that history, so per-request filter
-// entries for it never existed at this replica.
-func (f *Infra) advanceProcessed(conn ids.ConnectionID, upTo ids.RequestNum) {
-	if f.water == nil {
-		f.water = make(map[ids.ConnectionID]*lowWater)
-	}
-	w, ok := f.water[conn]
-	if !ok {
-		w = &lowWater{}
-		f.water[conn] = w
-	}
-	if upTo <= w.processedUpTo {
-		return
-	}
-	for r := w.processedSwept + 1; r <= upTo; r++ {
-		delete(f.processed, callKey{conn, r})
-	}
-	w.processedUpTo = upTo
-	w.processedSwept = upTo
-}
-
-// advanceReplied jumps the replied watermark to upTo, the reply-side
-// mirror of advanceProcessed. Used when a checkpoint is restored — the
-// checkpointed watermark embodies the compacted per-reply entries.
-func (f *Infra) advanceReplied(conn ids.ConnectionID, upTo ids.RequestNum) {
-	if f.water == nil {
-		f.water = make(map[ids.ConnectionID]*lowWater)
-	}
-	w, ok := f.water[conn]
-	if !ok {
-		w = &lowWater{}
-		f.water[conn] = w
-	}
-	if upTo <= w.repliedUpTo {
-		return
-	}
-	for r := w.repliedSwept + 1; r <= upTo; r++ {
-		delete(f.replied, callKey{conn, r})
-	}
-	w.repliedUpTo = upTo
-	w.repliedSwept = upTo
-}
-
-// isProcessed reports whether (conn, req) was already dispatched,
-// consulting the watermark for compacted history.
-func (f *Infra) isProcessed(conn ids.ConnectionID, req ids.RequestNum) bool {
-	if w, ok := f.water[conn]; ok && req <= w.processedUpTo && req > 0 {
+// has reports whether (conn, req) was marked, consulting the watermark
+// for compacted history.
+func (d *dupFilter) has(conn ids.ConnectionID, req ids.RequestNum) bool {
+	if w, ok := d.water[conn]; ok && req <= w.upTo && req > 0 {
 		return true
 	}
-	return f.processed[callKey{conn, req}]
+	return d.marks[callKey{conn, req}]
 }
 
-// isReplied reports whether the reply for (conn, req) was already
-// delivered to a local caller.
-func (f *Infra) isReplied(conn ids.ConnectionID, req ids.RequestNum) bool {
-	if w, ok := f.water[conn]; ok && req <= w.repliedUpTo && req > 0 {
-		return true
+// upTo returns conn's contiguous watermark.
+func (d *dupFilter) upTo(conn ids.ConnectionID) ids.RequestNum {
+	if w, ok := d.water[conn]; ok {
+		return w.upTo
 	}
-	return f.replied[callKey{conn, req}]
+	return 0
 }
 
 // FilterSize returns the number of live duplicate-filter entries, for
 // tests and capacity monitoring.
-func (f *Infra) FilterSize() int { return len(f.processed) + len(f.replied) }
+func (f *Infra) FilterSize() int { return len(f.processed.marks) + len(f.replied.marks) }
 
 // TrimLog discards log entries for conn with request numbers at or
 // below upTo. The application owns log retention policy (the log is its

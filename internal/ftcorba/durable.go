@@ -288,23 +288,21 @@ func (f *Infra) RecoverFromWAL(records []wal.Record) Recovered {
 			seq = append(seq, replayItem{op: &op})
 			out.Ops++
 		case wal.RecMark:
-			key := callKey{r.Mark.Conn, r.Mark.ReqNum}
+			conn, req := r.Mark.Conn, r.Mark.ReqNum
 			switch r.Mark.Kind {
 			case wal.MarkProcessedUpTo:
-				f.advanceProcessed(r.Mark.Conn, r.Mark.ReqNum)
+				f.processed.advanceTo(conn, req)
 				out.Marks++
 			case wal.MarkProcessed:
-				if !f.processed[key] && !f.isProcessed(key.conn, key.req) {
-					f.processed[key] = true
+				if !f.processed.has(conn, req) {
+					f.processed.mark(conn, req)
 					out.Marks++
 				}
-				f.noteProcessed(key.conn, key.req)
 			case wal.MarkReplied:
-				if !f.replied[key] && !f.isReplied(key.conn, key.req) {
-					f.replied[key] = true
+				if !f.replied.has(conn, req) {
+					f.replied.mark(conn, req)
 					out.Marks++
 				}
-				f.noteReplied(key.conn, key.req)
 			}
 		case wal.RecEpoch:
 			out.Epochs[r.Epoch.Group] = *r.Epoch
@@ -320,7 +318,7 @@ func (f *Infra) RecoverFromWAL(records []wal.Record) Recovered {
 			seenSnaps[key] = true
 			// The snapshot embodies every request up to UpTo even when
 			// the crash hit before the separate watermark record landed.
-			f.advanceProcessed(sn.Conn, sn.UpTo)
+			f.processed.advanceTo(sn.Conn, sn.UpTo)
 			if sn.MarkerTS > out.MaxTS {
 				out.MaxTS = sn.MarkerTS
 			}
@@ -382,7 +380,7 @@ func (f *Infra) RecoverFromWAL(records []wal.Record) Recovered {
 			continue
 		}
 		sg, servesHere := f.servedGroups[op.Conn.ServerGroup]
-		if !servesHere || !f.isProcessed(op.Conn, op.ReqNum) {
+		if !servesHere || !f.processed.has(op.Conn, op.ReqNum) {
 			continue
 		}
 		if op.TS <= snapCover[op.Conn] {
@@ -419,7 +417,7 @@ func (f *Infra) RecoverFromWAL(records []wal.Record) Recovered {
 			}
 			if stf.RestoreState(state) == nil {
 				out.Snapshots++
-				f.advanceProcessed(conn, st.upTo)
+				f.processed.advanceTo(conn, st.upTo)
 				if f.walSnapshot(conn, st.markerTS, st.upTo, state) {
 					f.walMark(wal.MarkProcessedUpTo, conn, st.upTo)
 				}
@@ -465,12 +463,7 @@ func (f *Infra) RejoinWithWAL(now int64, conn ids.ConnectionID, og ids.ObjectGro
 }
 
 // watermark returns the contiguous processed watermark for conn.
-func (f *Infra) watermark(conn ids.ConnectionID) ids.RequestNum {
-	if w, ok := f.water[conn]; ok {
-		return w.processedUpTo
-	}
-	return 0
-}
+func (f *Infra) watermark(conn ids.ConnectionID) ids.RequestNum { return f.processed.upTo(conn) }
 
 // recon returns (creating if needed) the reconciliation state of sg on
 // conn.
@@ -735,7 +728,7 @@ func (f *Infra) onSetDelta(now int64, d core.Delivery, req *giop.Request) {
 		if dec.Err() != nil {
 			return
 		}
-		if f.isProcessed(d.Conn, rnum) {
+		if f.processed.has(d.Conn, rnum) {
 			continue
 		}
 		msg, err := giop.Decode(payload)
@@ -745,8 +738,7 @@ func (f *Infra) onSetDelta(now int64, d core.Delivery, req *giop.Request) {
 		od := core.Delivery{Group: d.Group, Source: d.Source, TS: ts, Conn: d.Conn, RequestNum: rnum, Payload: payload}
 		f.appendLog(od, true)
 		sg.adapter.Dispatch(msg.Request)
-		f.processed[callKey{d.Conn, rnum}] = true
-		f.noteProcessed(d.Conn, rnum)
+		f.processed.mark(d.Conn, rnum)
 		f.walMark(wal.MarkProcessed, d.Conn, rnum)
 		applied++
 	}

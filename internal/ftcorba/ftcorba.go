@@ -125,12 +125,12 @@ type Infra struct {
 	// a deterministic client issue the same sequence, so the numbers
 	// agree group-wide (paper section 4).
 	nextReq map[ids.ConnectionID]ids.RequestNum
-	// processed marks (connection, request) pairs already dispatched,
-	// the duplicate-request filter.
-	processed map[callKey]bool
+	// processed marks (connection, request) pairs already dispatched
+	// (or observed dispatched) here, the duplicate-request filter.
+	processed dupFilter
 	// replied marks (connection, request) pairs whose reply has been
 	// delivered to a local caller, the duplicate-reply filter.
-	replied map[callKey]bool
+	replied dupFilter
 	pending map[callKey]*pendingCall
 	// logs holds the per-connection message log for replay.
 	logs map[ids.ConnectionID][]LogEntry
@@ -142,9 +142,6 @@ type Infra struct {
 	FaultHook func(group ids.GroupID, convicted ids.Membership)
 	// fragments holds in-progress reassemblies (see fragment.go).
 	fragments map[fragKey]*fragState
-	// water holds per-connection completion watermarks for filter
-	// compaction (see compact.go).
-	water map[ids.ConnectionID]*lowWater
 	// wal, when attached, mirrors the log, the duplicate filters and the
 	// membership epochs to stable storage (see durable.go).
 	wal    *wal.Log
@@ -172,8 +169,8 @@ func New(self ids.ProcessorID, domain ids.DomainID, node *core.Node) *Infra {
 		node:         node,
 		servedGroups: make(map[ids.ObjectGroupID]*served),
 		nextReq:      make(map[ids.ConnectionID]ids.RequestNum),
-		processed:    make(map[callKey]bool),
-		replied:      make(map[callKey]bool),
+		processed:    newDupFilter(),
+		replied:      newDupFilter(),
 		pending:      make(map[callKey]*pendingCall),
 		logs:         make(map[ids.ConnectionID][]LogEntry),
 	}
@@ -343,12 +340,11 @@ func (f *Infra) onRequest(now int64, d core.Delivery, msg giop.Message) {
 // dispatch runs one request against the local replica, with duplicate
 // suppression, and multicasts the reply.
 func (f *Infra) dispatch(now int64, d core.Delivery, sg *served, req *giop.Request) {
-	if f.isProcessed(d.Conn, d.RequestNum) {
+	if f.processed.has(d.Conn, d.RequestNum) {
 		f.stats.DuplicateRequests++
 		return
 	}
-	f.processed[callKey{d.Conn, d.RequestNum}] = true
-	f.noteProcessed(d.Conn, d.RequestNum)
+	f.processed.mark(d.Conn, d.RequestNum)
 	f.walMark(wal.MarkProcessed, d.Conn, d.RequestNum)
 	reply := sg.adapter.Dispatch(req)
 	f.stats.RequestsDispatched++
@@ -379,17 +375,16 @@ func (f *Infra) onReply(d core.Delivery, msg giop.Message) {
 	key := callKey{d.Conn, d.RequestNum}
 	pc, waiting := f.pending[key]
 	if !waiting {
-		if f.isReplied(d.Conn, d.RequestNum) {
+		if f.replied.has(d.Conn, d.RequestNum) {
 			f.stats.DuplicateReplies++
 		}
 		return
 	}
-	if f.isReplied(d.Conn, d.RequestNum) {
+	if f.replied.has(d.Conn, d.RequestNum) {
 		f.stats.DuplicateReplies++
 		return
 	}
-	f.replied[key] = true
-	f.noteReplied(d.Conn, d.RequestNum)
+	f.replied.mark(d.Conn, d.RequestNum)
 	f.walMark(wal.MarkReplied, d.Conn, d.RequestNum)
 	delete(f.pending, key)
 	f.stats.RepliesDelivered++

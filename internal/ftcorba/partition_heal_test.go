@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"ftmp/internal/core"
+	"ftmp/internal/harness"
 	"ftmp/internal/ids"
-	"ftmp/internal/pgmp"
 	"ftmp/internal/simnet"
 	"ftmp/internal/trace"
 )
@@ -20,13 +20,9 @@ import (
 // with the primary — with every client request applied exactly once.
 func newPartitionWorld(t *testing.T, seed int64, serverProcs, clientProcs ids.Membership) *world {
 	t.Helper()
-	w := newWorldConfigured(t, seed, 0, serverProcs, clientProcs, func(p ids.ProcessorID, nc *core.Config) {
+	w := newWorldConfigured(t, seed, 0, serverProcs, clientProcs, func(_ ids.ProcessorID, nc *core.Config) {
 		nc.PGMP.PrimaryPartition = true
-		nc.PGMP.SuspectPolicy = pgmp.SuspectAdaptive
-		nc.Conn.RequestRetryMax = 320_000_000
-		nc.Conn.RequestRetryJitter = 0.2
-		nc.PGMP.AddResendMax = 160_000_000
-		nc.PGMP.AddResendJitter = 0.2
+		harness.RecoveryTuning(nc)
 	})
 	for _, p := range w.c.Procs() {
 		w.c.Host(p).OnView = w.infras[p].OnViewChange

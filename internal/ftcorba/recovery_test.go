@@ -6,8 +6,8 @@ import (
 
 	"ftmp/internal/core"
 	"ftmp/internal/ftcorba"
+	"ftmp/internal/harness"
 	"ftmp/internal/ids"
-	"ftmp/internal/pgmp"
 	"ftmp/internal/simnet"
 	"ftmp/internal/trace"
 )
@@ -18,12 +18,8 @@ import (
 // infrastructure (the survivor side of automated state transfer).
 func newRecoveryWorld(t *testing.T, seed int64, serverProcs, clientProcs ids.Membership) *world {
 	t.Helper()
-	w := newWorldConfigured(t, seed, 0, serverProcs, clientProcs, func(p ids.ProcessorID, nc *core.Config) {
-		nc.PGMP.SuspectPolicy = pgmp.SuspectAdaptive
-		nc.Conn.RequestRetryMax = 320_000_000 // rejoin probes: 20ms doubling to 320ms
-		nc.Conn.RequestRetryJitter = 0.2
-		nc.PGMP.AddResendMax = 160_000_000 // add proposals: 20ms doubling to 160ms
-		nc.PGMP.AddResendJitter = 0.2
+	w := newWorldConfigured(t, seed, 0, serverProcs, clientProcs, func(_ ids.ProcessorID, nc *core.Config) {
+		harness.RecoveryTuning(nc)
 	})
 	for _, p := range w.c.Procs() {
 		p := p

@@ -39,7 +39,7 @@ func (f *Infra) RequestReplay(now int64, conn ids.ConnectionID, from, to ids.Req
 // caller should consult the log instead.
 func (f *Infra) AwaitReply(conn ids.ConnectionID, req ids.RequestNum, cb func([]byte, error)) bool {
 	key := callKey{conn, req}
-	if f.isReplied(conn, req) {
+	if f.replied.has(conn, req) {
 		return false
 	}
 	f.pending[key] = &pendingCall{cb: cb}

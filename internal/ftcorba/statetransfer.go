@@ -435,7 +435,7 @@ func (f *Infra) completeTransfer(now int64, conn ids.ConnectionID, sg *served, s
 	// silently drop the snapshot's history after a whole-group crash.
 	snapDurable := f.walSnapshot(conn, st.markerTS, st.upTo, state)
 	if st.upTo > f.watermark(conn) {
-		f.advanceProcessed(conn, st.upTo)
+		f.processed.advanceTo(conn, st.upTo)
 		if snapDurable {
 			f.walMark(wal.MarkProcessedUpTo, conn, st.upTo)
 		}

@@ -1,6 +1,27 @@
 // Package harness wires FTMP nodes into the simulated network and runs
 // the repository's experiments. It is the substrate of the integration
-// tests and cmd/ftmpbench.
+// tests and cmd/ftmpbench, whose experiments() table is the index of
+// what runs, under which name and at which sizes.
+//
+// Cluster (this file) is the simulated network of FTMP processors that
+// the core and ftcorba tests also build on. Every simulated experiment
+// is configuration, then workload, then observation over one of three
+// fixtures (fixtures.go):
+//
+//   - group: an FTMP Cluster of processors 1…n, all in expGroup, each
+//     member's deliveries counted; ordered puts it, the fixed sequencer
+//     and the token ring behind one send and one delivery callback, so a
+//     protocol comparison is written once.
+//   - pace: the one paced driver; every open-loop sender, burst sender,
+//     sampler and background load is a call to it.
+//   - World: the CORBA world — server replicas, client replicas and
+//     spares, each with an ftcorba.Infra wired to its host's deliveries
+//     and view changes, and the logical connection between the groups.
+//
+// The other files are named for their subject: figures.go (fig2, fig3),
+// ordering.go (E1 E2 E3 E5 E6 E9 E12 A1 A2 A3), corba.go (E7 E8),
+// recovery.go (E4 E10 E13 E15b), durability.go (E11 E15a, real disk)
+// and live.go (E17, real UDP and clock).
 package harness
 
 import (
@@ -93,11 +114,12 @@ func (h *Host) LastView(g ids.GroupID) (core.ViewChange, bool) {
 type Options struct {
 	Seed int64
 	Net  simnet.Config
-	// TickEvery is the node timer cadence (default 1ms).
-	TickEvery simnet.Time
 	// Configure, if set, adjusts each node's config before construction.
 	Configure func(p ids.ProcessorID, cfg *core.Config)
 }
+
+// tickEvery is the node timer cadence.
+const tickEvery = simnet.Millisecond
 
 // Cluster is a set of FTMP processors on one simulated network.
 type Cluster struct {
@@ -109,9 +131,6 @@ type Cluster struct {
 
 // NewCluster builds a cluster of the given processors (no groups yet).
 func NewCluster(opt Options, procs ...ids.ProcessorID) *Cluster {
-	if opt.TickEvery == 0 {
-		opt.TickEvery = simnet.Millisecond
-	}
 	c := &Cluster{
 		Net:   simnet.New(opt.Seed, opt.Net),
 		Hosts: make(map[ids.ProcessorID]*Host),
@@ -171,7 +190,7 @@ func (c *Cluster) attach(p ids.ProcessorID) *Host {
 	}
 	// Register with the network before constructing the node: the
 	// constructor subscribes to the domain address immediately.
-	c.Net.AddNode(simnet.NodeID(p), h, c.opt.TickEvery)
+	c.Net.AddNode(simnet.NodeID(p), h, tickEvery)
 	h.Node = core.NewNode(cfg, cb)
 	c.Hosts[p] = h
 	c.order = append(c.order, p)

@@ -1,5 +1,10 @@
 package harness
 
+// The durability experiments. Unlike the simulated ones they run against
+// the real filesystem (a temporary directory) and a wall clock, so they
+// are in no golden file: E11, what the write-ahead log costs per fsync
+// policy, and E15a, what a restart costs with and without compaction.
+
 // Experiment E11: the durability cost model of the write-ahead log.
 //
 // The paper's protocol tolerates processor crashes by regenerating
@@ -22,6 +27,7 @@ import (
 	"time"
 
 	"ftmp/internal/ids"
+	"ftmp/internal/runtime"
 	"ftmp/internal/trace"
 	"ftmp/internal/wal"
 )
@@ -161,6 +167,107 @@ func E11Durability(sizes []int, payloadBytes int) *trace.Table {
 			tb.AddRow("recover", "-", n, "", "", "", "", fmt.Sprintf("error: %v", err))
 		}
 		os.RemoveAll(dir)
+	}
+	return tb
+}
+
+// Experiment E15, part A (part B, the streamed rejoin, is simulated and
+// lives in recovery.go): restart cost as the logged history grows 100×,
+// compacted vs uncompacted. Without compaction the restart scans and
+// replays the whole history, so its cost is linear in the log; with
+// periodic checkpoints (WAL compaction at the stability cut) the replay
+// is the post-checkpoint suffix, so the cost curve must go flat. Like
+// E11 the quantity of interest is scan/decode/replay cost on a real
+// disk.
+
+// E15RecoverResult is one restart measurement.
+type E15RecoverResult struct {
+	Records   int     // ops appended over the log's lifetime
+	Compacted bool    // periodic Compact at the stability cut?
+	DiskMB    float64 // on-disk bytes at the crash point
+	Segments  int
+	RecoverMs float64 // reopen: scan + checksum + decode + fold
+	ReplayOps int     // deliveries a restart would re-apply
+}
+
+// RunE15Recovery appends n op records to a fresh log under dir —
+// compacting every compactEvery records when compact is set, as a live
+// deployment would at its stability cut — then crashes (closes) and
+// measures the restart: wal.Open's full scan plus folding the records
+// into a replay.
+func RunE15Recovery(n, compactEvery, payload int, compact bool, dir string) (E15RecoverResult, error) {
+	res := E15RecoverResult{Records: n, Compacted: compact}
+	dfs, err := wal.NewDirFS(dir)
+	if err != nil {
+		return res, err
+	}
+	w, _, err := wal.Open(wal.Config{FS: dfs, Policy: wal.SyncNever})
+	if err != nil {
+		return res, err
+	}
+	// The retained epoch mirrors what a live group would carry across
+	// compaction; the checkpoint state stands in for the servant
+	// snapshot at the cut.
+	state := make([]byte, 4096)
+	retain := []wal.Record{{Type: wal.RecEpoch, Epoch: &wal.EpochRecord{
+		Group: expGroup, ViewTS: ids.MakeTimestamp(1, 1), Members: ids.NewMembership(1, 2, 3),
+	}}}
+	for i := 0; i < n; i++ {
+		if err := w.Append(e11Record(i, payload)); err != nil {
+			return res, err
+		}
+		// The last interval stays uncompacted (a live group always has
+		// in-flight history past its latest checkpoint), so the
+		// measured replay is checkpoint restore + a bounded suffix.
+		if compact && (i+1)%compactEvery == 0 && i+1 < n {
+			if err := w.Compact(ids.MakeTimestamp(uint64(i+1), 1), state, retain); err != nil {
+				return res, err
+			}
+		}
+	}
+	if err := w.Sync(); err != nil {
+		return res, err
+	}
+	res.DiskMB = float64(w.DiskBytes()) / 1e6
+	res.Segments = w.Segments()
+	if err := w.Close(); err != nil {
+		return res, err
+	}
+
+	start := time.Now()
+	w2, rec, err := wal.Open(wal.Config{FS: dfs, Policy: wal.SyncNever})
+	if err != nil {
+		return res, err
+	}
+	rp := runtime.RecoverReplay(rec.Records)
+	res.RecoverMs = float64(time.Since(start).Nanoseconds()) / 1e6
+	res.ReplayOps = len(rp.Deliveries)
+	_ = w2.Close()
+	return res, nil
+}
+
+// E15Recovery sweeps restart cost across a 100× history growth, with
+// and without periodic compaction.
+func E15Recovery(sizes []int, compactEvery, payload int) *trace.Table {
+	tb := trace.NewTable(
+		"E15a: restart cost vs history size — compaction bounds replay to the post-checkpoint suffix",
+		"records", "compacted", "disk MB", "segments", "recover ms", "replay ops")
+	for _, n := range sizes {
+		for _, compact := range []bool{false, true} {
+			dir, err := os.MkdirTemp("", "ftmp-e15-*")
+			if err != nil {
+				tb.AddRow(n, compact, "", "", "error", err.Error())
+				continue
+			}
+			r, err := RunE15Recovery(n, compactEvery, payload, compact, dir)
+			if err != nil {
+				tb.AddRow(n, compact, "", "", "error", err.Error())
+			} else {
+				tb.AddRow(r.Records, r.Compacted, fmt.Sprintf("%.2f", r.DiskMB), r.Segments,
+					fmt.Sprintf("%.2f", r.RecoverMs), r.ReplayOps)
+			}
+			os.RemoveAll(dir)
+		}
 	}
 	return tb
 }

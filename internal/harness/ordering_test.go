@@ -1,12 +1,10 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"ftmp/internal/clock"
 	"ftmp/internal/simnet"
-	"ftmp/internal/wire"
 )
 
 func TestRunLatencyAllProtocols(t *testing.T) {
@@ -51,21 +49,6 @@ func TestE3HeartbeatShape(t *testing.T) {
 	}
 }
 
-func TestE4FailoverShape(t *testing.T) {
-	// Detection time tracks the suspect timeout.
-	quickTO := RunE4Failover(4, 20*simnet.Millisecond, 11)
-	slowTO := RunE4Failover(4, 100*simnet.Millisecond, 11)
-	if quickTO.DetectMs <= 0 || slowTO.DetectMs <= 0 {
-		t.Fatalf("no detection: %+v %+v", quickTO, slowTO)
-	}
-	if !(quickTO.DetectMs < slowTO.DetectMs) {
-		t.Errorf("detection shape violated: to=20ms %.1fms, to=100ms %.1fms", quickTO.DetectMs, slowTO.DetectMs)
-	}
-	if quickTO.NewViewMs < quickTO.DetectMs {
-		t.Errorf("view installed before detection: %+v", quickTO)
-	}
-}
-
 func TestE5BufferShape(t *testing.T) {
 	// With prompt heartbeats, buffers drain after the stream; with
 	// heartbeats effectively off (10s interval), acknowledgments stop
@@ -94,46 +77,6 @@ func TestE6LossShape(t *testing.T) {
 	}
 }
 
-func TestE7GIOPShape(t *testing.T) {
-	direct := RunE7Direct(20, 14)
-	k1 := RunE7GIOP(1, 20, 14)
-	k3 := RunE7GIOP(3, 20, 15)
-	if direct.Count() != 20 || k1.Count() != 20 || k3.Count() != 20 {
-		t.Fatalf("incomplete runs: %d %d %d", direct.Count(), k1.Count(), k3.Count())
-	}
-	// Replication over a group protocol cannot beat the raw network
-	// round trip.
-	if k1.Mean() <= direct.Mean() {
-		t.Errorf("replicated faster than direct: %.3f vs %.3f ms", k1.Mean()/1e6, direct.Mean()/1e6)
-	}
-}
-
-func TestE8DuplicatesInvariants(t *testing.T) {
-	r := RunE8Duplicates(3, 3, 5, 16)
-	// The 3 deterministic client replicas issue the same 5 logical
-	// calls, so the network carries 3 copies of each: 15 sends.
-	if r.RequestsSent != 15 {
-		t.Errorf("RequestsSent = %d, want 15", r.RequestsSent)
-	}
-	// Exactly-once processing per server replica: 5 logical requests x
-	// 3 server replicas.
-	if r.RequestsDispatched != 15 {
-		t.Errorf("RequestsDispatched = %d, want 15", r.RequestsDispatched)
-	}
-	// Per server replica, 2 of the 3 copies of each request are
-	// duplicates: 5*2*3 = 30 suppressions.
-	if r.DuplicateRequests != 30 {
-		t.Errorf("DuplicateRequests = %d, want 30", r.DuplicateRequests)
-	}
-	// Every caller saw exactly one reply per call: 5 x 3 clients.
-	if r.RepliesDelivered != 15 {
-		t.Errorf("RepliesDelivered = %d, want 15", r.RepliesDelivered)
-	}
-	if r.DuplicateReplies == 0 {
-		t.Error("no duplicate replies suppressed")
-	}
-}
-
 func TestE9PlannedChangeCompletes(t *testing.T) {
 	r := RunE9PlannedChange(17)
 	if r.BeforeMeanMs <= 0 || r.DuringMeanMs <= 0 || r.AfterMeanMs <= 0 {
@@ -143,31 +86,6 @@ func TestE9PlannedChangeCompletes(t *testing.T) {
 	// outage (suspect timeout is 50ms; E4 shows fault recovery >50ms).
 	if r.DuringMaxMs > 50 {
 		t.Errorf("planned change stalled ordering for %.1fms", r.DuringMaxMs)
-	}
-}
-
-func TestTablesRender(t *testing.T) {
-	// Smoke: the compact variants of every table render non-empty.
-	tables := []interface{ String() string }{
-		Fig2Encapsulation(),
-		Fig3Matrix(),
-		E1Latency([]int{2, 3}, 5),
-		E3Heartbeat([]simnet.Time{5 * simnet.Millisecond}),
-		E5Buffer([]simnet.Time{5 * simnet.Millisecond}),
-		E9PlannedChange(),
-	}
-	for i, tb := range tables {
-		out := tb.String()
-		if !strings.Contains(out, "\n") || len(out) < 40 {
-			t.Errorf("table %d too small:\n%s", i, out)
-		}
-	}
-}
-
-func TestPackUnpackAddr(t *testing.T) {
-	orig := wire.MulticastAddr{IP: [4]byte{239, 1, 2, 3}, Port: 5004}
-	if got := UnpackAddr(PackAddr(orig)); got != orig {
-		t.Errorf("round trip = %v, want %v", got, orig)
 	}
 }
 
@@ -190,5 +108,31 @@ func TestA2ClockModesBothComplete(t *testing.T) {
 	b := RunA2ClockMode(clock.Synchronized, 22)
 	if a.MeanMs <= 0 || b.MeanMs <= 0 {
 		t.Errorf("clock mode runs incomplete: %+v %+v", a, b)
+	}
+}
+
+func TestE12PackingSpeedup(t *testing.T) {
+	// The acceptance bar for the packing datapath: at least 2x ordered
+	// msgs/s for small payloads under the E12 per-datagram cost model,
+	// and a large reduction in datagrams actually sent.
+	for _, size := range []int{64, 256} {
+		plain := RunE12Packing(1200, 4, 2000, size, false)
+		packed := RunE12Packing(1200, 4, 2000, size, true)
+		if speedup := packed.MsgsPerS / plain.MsgsPerS; speedup < 2.0 {
+			t.Errorf("size %d: packing speedup = %.2fx (plain %.0f, packed %.0f msg/s), want >= 2x",
+				size, speedup, plain.MsgsPerS, packed.MsgsPerS)
+		}
+		if packed.PacketsSent*2 >= plain.PacketsSent {
+			t.Errorf("size %d: packed sent %d datagrams vs plain %d, want < half",
+				size, packed.PacketsSent, plain.PacketsSent)
+		}
+	}
+}
+
+func TestE12SuppressionReducesIdleTraffic(t *testing.T) {
+	base := RunE12Suppression(0, 1250)
+	suppressed := RunE12Suppression(25*simnet.Millisecond, 1250)
+	if suppressed*2 >= base {
+		t.Errorf("idle pkts/s: suppressed=%.0f base=%.0f, want < half", suppressed, base)
 	}
 }

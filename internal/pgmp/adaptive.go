@@ -16,20 +16,23 @@ const (
 	SuspectFixed SuspectPolicy = iota
 	// SuspectAdaptive derives a per-member timeout from the observed
 	// inter-arrival history of that member's traffic: mean + k·stddev,
-	// clamped to [AdaptiveMin, AdaptiveMax]. Members whose heartbeats
+	// clamped to [adaptiveMin, adaptiveMax]. Members whose heartbeats
 	// arrive steadily are convicted quickly; members on jittery paths
 	// earn proportionally more slack, eliminating the false convictions
 	// a fixed timeout produces under jitter.
 	SuspectAdaptive
 )
 
-// Adaptive-detector defaults, applied when the corresponding Config
-// field is zero.
+// The adaptive detector's parameters.
 const (
-	defaultAdaptiveK      = 4.0
-	defaultAdaptiveMin    = 25_000_000    // 25ms
-	defaultAdaptiveMax    = 1_000_000_000 // 1s
-	defaultAdaptiveWindow = 64
+	// adaptiveK scales the stddev term of the threshold (mean + k·stddev).
+	adaptiveK = 4.0
+	// adaptiveMin and adaptiveMax clamp the threshold.
+	adaptiveMin = 25_000_000    // 25ms
+	adaptiveMax = 1_000_000_000 // 1s
+	// adaptiveWindow is the number of inter-arrival samples retained per
+	// member.
+	adaptiveWindow = 64
 	// adaptiveMinSamples is how many inter-arrival gaps must be observed
 	// before the estimate is trusted; below it the detector stays at the
 	// conservative bootstrap timeout so a freshly-admitted member is not
@@ -47,11 +50,8 @@ type arrivalTracker struct {
 	sumsq float64
 }
 
-func newArrivalTracker(window int) *arrivalTracker {
-	if window <= 0 {
-		window = defaultAdaptiveWindow
-	}
-	return &arrivalTracker{gaps: make([]int64, window)}
+func newArrivalTracker() *arrivalTracker {
+	return &arrivalTracker{gaps: make([]int64, adaptiveWindow)}
 }
 
 // observe records one inter-arrival gap, evicting the oldest once the
@@ -71,16 +71,17 @@ func (a *arrivalTracker) observe(gap int64) {
 	a.next = (a.next + 1) % len(a.gaps)
 }
 
-// threshold returns mean + k·stddev over the window. Valid only when
-// count > 0; the variance is floored at zero against float cancellation.
-func (a *arrivalTracker) threshold(k float64) int64 {
+// threshold returns mean + adaptiveK·stddev over the window. Valid only
+// when count > 0; the variance is floored at zero against float
+// cancellation.
+func (a *arrivalTracker) threshold() int64 {
 	n := float64(a.count)
 	mean := a.sum / n
 	variance := a.sumsq/n - mean*mean
 	if variance < 0 {
 		variance = 0
 	}
-	return int64(mean + k*math.Sqrt(variance))
+	return int64(mean + adaptiveK*math.Sqrt(variance))
 }
 
 // observeArrival feeds the adaptive tracker for member p; gap is the
@@ -92,7 +93,7 @@ func (g *Group) observeArrival(p ids.ProcessorID, gap int64) {
 	}
 	tr := g.arrivals[p]
 	if tr == nil {
-		tr = newArrivalTracker(g.cfg.AdaptiveWindow)
+		tr = newArrivalTracker()
 		g.arrivals[p] = tr
 	}
 	tr.observe(gap)
@@ -106,28 +107,14 @@ func (g *Group) SuspectTimeoutFor(p ids.ProcessorID) int64 {
 	if g.cfg.SuspectPolicy != SuspectAdaptive {
 		return g.cfg.SuspectTimeout
 	}
-	min, max := g.cfg.AdaptiveMin, g.cfg.AdaptiveMax
-	if min <= 0 {
-		min = defaultAdaptiveMin
-	}
-	if max < min {
-		max = defaultAdaptiveMax
-		if max < min {
-			max = min
-		}
-	}
 	tr := g.arrivals[p]
 	if tr == nil || tr.count < adaptiveMinSamples {
 		// Bootstrap: too little history to estimate. Use the fixed
 		// timeout, clamped into the adaptive band so a misconfigured
-		// SuspectTimeout cannot undercut AdaptiveMin.
-		return clamp(g.cfg.SuspectTimeout, min, max)
+		// SuspectTimeout cannot undercut adaptiveMin.
+		return clamp(g.cfg.SuspectTimeout, adaptiveMin, adaptiveMax)
 	}
-	k := g.cfg.AdaptiveK
-	if k <= 0 {
-		k = defaultAdaptiveK
-	}
-	return clamp(tr.threshold(k), min, max)
+	return clamp(tr.threshold(), adaptiveMin, adaptiveMax)
 }
 
 func clamp(v, min, max int64) int64 {

@@ -7,16 +7,16 @@ import (
 	"ftmp/internal/ids"
 )
 
+// ms scales the adaptive tests to the detector's shipped parameters:
+// 25ms floor, 1s ceiling, k = 4, window 64.
+const ms = 1_000_000
+
 func adaptiveCfg() Config {
 	return Config{
-		SuspectTimeout: 100,
-		ProposalResend: 50,
-		AddResend:      50,
+		SuspectTimeout: 100 * ms,
+		ProposalResend: 50 * ms,
+		AddResend:      50 * ms,
 		SuspectPolicy:  SuspectAdaptive,
-		AdaptiveK:      4,
-		AdaptiveMin:    1,
-		AdaptiveMax:    1 << 40,
-		AdaptiveWindow: 16,
 	}
 }
 
@@ -24,53 +24,47 @@ func TestAdaptiveBootstrapUsesFixedTimeout(t *testing.T) {
 	g := NewGroup(self, gid, adaptiveCfg())
 	g.Install(ids.NewMembership(1, 2), ids.NilTimestamp, 0)
 	// No samples yet: the bootstrap threshold is the fixed timeout.
-	if got := g.SuspectTimeoutFor(2); got != 100 {
-		t.Fatalf("bootstrap timeout = %d, want 100", got)
+	if got := g.SuspectTimeoutFor(2); got != 100*ms {
+		t.Fatalf("bootstrap timeout = %d, want 100ms", got)
 	}
 	// Fewer than adaptiveMinSamples gaps: still bootstrap.
-	g.Heard(2, 10)
-	g.Heard(2, 20)
-	g.Heard(2, 30)
-	if got := g.SuspectTimeoutFor(2); got != 100 {
-		t.Errorf("timeout with 2 samples = %d, want bootstrap 100", got)
+	g.Heard(2, 30*ms)
+	g.Heard(2, 60*ms)
+	g.Heard(2, 90*ms)
+	if got := g.SuspectTimeoutFor(2); got != 100*ms {
+		t.Errorf("timeout with 2 samples = %d, want bootstrap 100ms", got)
 	}
 }
 
 func TestAdaptiveTimeoutTracksArrivals(t *testing.T) {
 	g := NewGroup(self, gid, adaptiveCfg())
 	g.Install(ids.NewMembership(1, 2, 3), ids.NilTimestamp, 0)
-	// Member 2: perfectly steady 10-tick heartbeats. Member 3: gaps
-	// alternating 5 and 35 (mean 20, stddev 15).
+	// Member 2: perfectly steady 30ms heartbeats. Member 3: gaps
+	// alternating 20ms and 60ms (mean 40ms, stddev 20ms).
 	now := int64(0)
 	for i := 1; i <= 8; i++ {
-		g.Heard(2, int64(i)*10)
+		g.Heard(2, int64(i)*30*ms)
 	}
 	for i := 0; i < 4; i++ {
-		now += 5
+		now += 20 * ms
 		g.Heard(3, now)
-		now += 35
+		now += 60 * ms
 		g.Heard(3, now)
 	}
 	steady := g.SuspectTimeoutFor(2)
 	jittery := g.SuspectTimeoutFor(3)
-	if steady != 10 { // mean 10, stddev 0
-		t.Errorf("steady member timeout = %d, want 10", steady)
+	if steady != 30*ms { // mean 30ms, stddev 0
+		t.Errorf("steady member timeout = %d, want 30ms", steady)
 	}
-	want := int64(20 + 4*15)
+	want := int64(40*ms + 4*20*ms)
 	if jittery != want {
 		t.Errorf("jittery member timeout = %d, want %d", jittery, want)
 	}
-	// The detector applies them per member: at silence 50 past the last
-	// arrival, the steady member is due but the jittery one is not.
-	last2, last3 := int64(80), now
-	base := last2
-	if last3 > base {
-		base = last3
-	}
-	due := g.DueSuspicions(base + 50)
-	// Member 2 last heard at 80; member 3 at `now`. Use a time that is
-	// 50 past BOTH, so only the steady member (threshold 10) is due
-	// while the jittery one (threshold 80) is not.
+	// The detector applies them per member. Member 2 was last heard at
+	// 240ms, member 3 at `now` (320ms): at 50ms past BOTH, only the
+	// steady member (threshold 30ms) is due while the jittery one
+	// (threshold 120ms) is not.
+	due := g.DueSuspicions(now + 50*ms)
 	if !due.Contains(2) || due.Contains(3) {
 		t.Errorf("DueSuspicions = %v, want {2} only", due)
 	}
@@ -78,23 +72,22 @@ func TestAdaptiveTimeoutTracksArrivals(t *testing.T) {
 
 func TestAdaptiveClamps(t *testing.T) {
 	cfg := adaptiveCfg()
-	cfg.AdaptiveMin = 50
-	cfg.AdaptiveMax = 70
+	cfg.SuspectTimeout = 5000 * ms // bootstrap value above the ceiling
 	g := NewGroup(self, gid, cfg)
 	g.Install(ids.NewMembership(1, 2, 3), ids.NilTimestamp, 0)
 	for i := 1; i <= 8; i++ {
-		g.Heard(2, int64(i))      // gaps of 1: raw threshold 1 < min
-		g.Heard(3, int64(i)*1000) // gaps of 1000: raw threshold > max
+		g.Heard(2, int64(i)*ms)      // gaps of 1ms: raw threshold below the floor
+		g.Heard(3, int64(i)*2000*ms) // gaps of 2s: raw threshold above the ceiling
 	}
-	if got := g.SuspectTimeoutFor(2); got != 50 {
-		t.Errorf("below-min timeout = %d, want clamped 50", got)
+	if got := g.SuspectTimeoutFor(2); got != adaptiveMin {
+		t.Errorf("below-floor timeout = %d, want clamped %d", got, adaptiveMin)
 	}
-	if got := g.SuspectTimeoutFor(3); got != 70 {
-		t.Errorf("above-max timeout = %d, want clamped 70", got)
+	if got := g.SuspectTimeoutFor(3); got != adaptiveMax {
+		t.Errorf("above-ceiling timeout = %d, want clamped %d", got, adaptiveMax)
 	}
-	// Bootstrap clamps too: SuspectTimeout 100 > max 70.
-	if got := g.SuspectTimeoutFor(1); got != 70 {
-		t.Errorf("bootstrap clamp = %d, want 70", got)
+	// Bootstrap clamps too: SuspectTimeout 5s > ceiling 1s.
+	if got := g.SuspectTimeoutFor(1); got != adaptiveMax {
+		t.Errorf("bootstrap clamp = %d, want %d", got, adaptiveMax)
 	}
 }
 
@@ -109,19 +102,23 @@ func TestFixedPolicyUnchanged(t *testing.T) {
 }
 
 func TestArrivalTrackerWindowEviction(t *testing.T) {
-	tr := newArrivalTracker(4)
-	for _, gap := range []int64{100, 200, 300, 400, 500, 600} {
-		tr.observe(gap)
+	tr := newArrivalTracker()
+	// Two early gaps, then a window's worth of 300/400/500/600ms rounds
+	// that must evict them.
+	tr.observe(100 * ms)
+	tr.observe(200 * ms)
+	for i := 0; i < adaptiveWindow/4; i++ {
+		for _, gap := range []int64{300, 400, 500, 600} {
+			tr.observe(gap * ms)
+		}
 	}
-	// Window holds {300,400,500,600}: mean 450, stddev sqrt(12500).
-	mean := 450.0
-	std := math.Sqrt(12500)
-	want := int64(mean + 2*std)
-	if got := tr.threshold(2); got != want {
+	// Window holds only the rounds: mean 450ms, variance 12500 ms².
+	want := int64(450*ms + adaptiveK*math.Sqrt(12500*ms*ms))
+	if got := tr.threshold(); got != want {
 		t.Errorf("threshold = %d, want %d", got, want)
 	}
-	if tr.count != 4 {
-		t.Errorf("count = %d, want 4", tr.count)
+	if tr.count != adaptiveWindow {
+		t.Errorf("count = %d, want %d", tr.count, adaptiveWindow)
 	}
 }
 

@@ -46,16 +46,6 @@ type Config struct {
 	// SuspectPolicy selects the fixed or adaptive detector; the zero
 	// value is SuspectFixed (the historical behavior).
 	SuspectPolicy SuspectPolicy
-	// AdaptiveK scales the stddev term of the adaptive threshold
-	// (mean + k·stddev). Zero selects the default of 4.
-	AdaptiveK float64
-	// AdaptiveMin and AdaptiveMax clamp the adaptive threshold; zero
-	// selects 25ms and 1s respectively.
-	AdaptiveMin int64
-	AdaptiveMax int64
-	// AdaptiveWindow is the number of inter-arrival samples retained per
-	// member; zero selects 64.
-	AdaptiveWindow int
 	// ProposalResend is the period at which an unfinished recovery
 	// round re-multicasts its Membership proposal, covering proposals
 	// lost before a new member of the round could NACK them.
@@ -72,12 +62,6 @@ type Config struct {
 	// AddResendJitter, in (0,1), spreads backed-off resends by a
 	// deterministic ± fraction.
 	AddResendJitter float64
-	// ConvictionFraction tunes the paper's "enough processors suspect"
-	// heuristic: a processor is convicted once strictly more than this
-	// fraction of the unsuspected membership suspects it. Zero selects
-	// the default of 0.5 (majority). Lower values detect faster but
-	// convict more aggressively under transient silence.
-	ConvictionFraction float64
 	// PrimaryPartition gates fault-view installation on a quorum of the
 	// previous installed view (LLFT-style primary-partition membership):
 	// a recovery round whose proposed membership does not contain more
@@ -363,19 +347,16 @@ func (g *Group) suspectedBySelf() ids.Membership {
 	return out
 }
 
-// reconvict recomputes the convicted set: q is convicted when more than
-// half of the unsuspected membership suspects it. Returns newly
-// convicted processors.
+// reconvict recomputes the convicted set — the paper's "enough
+// processors suspect" heuristic: q is convicted when more than half of
+// the unsuspected membership suspects it. Returns newly convicted
+// processors.
 func (g *Group) reconvict() ids.Membership {
 	voters := g.members.RemoveAll(g.suspectedBySelf())
 	if len(voters) == 0 {
 		return nil
 	}
-	frac := g.cfg.ConvictionFraction
-	if frac <= 0 {
-		frac = 0.5
-	}
-	threshold := int(frac*float64(len(voters))) + 1
+	threshold := len(voters)/2 + 1
 	var newly ids.Membership
 	for q, by := range g.suspicions {
 		if g.convicted.Contains(q) {

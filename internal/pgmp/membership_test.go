@@ -363,22 +363,3 @@ func TestStashClearedOnInstall(t *testing.T) {
 		t.Fatal("stale stash satisfied a new round")
 	}
 }
-
-func TestConvictionFractionTunable(t *testing.T) {
-	// A lower fraction convicts on fewer accusations (paper section 7.2:
-	// "heuristic algorithms to increase the accuracy of the processor
-	// fault detectors" — the quorum is the tunable here).
-	g := NewGroup(self, gid, Config{
-		SuspectTimeout: 100, ProposalResend: 50, AddResend: 50,
-		ConvictionFraction: 0.25,
-	})
-	g.Install(ids.NewMembership(1, 2, 3, 4, 5, 6, 7, 8), ids.NilTimestamp, 0)
-	// voters = 8, threshold = 8/4+1 = 3.
-	g.RecordSuspicion(2, ids.NewMembership(8))
-	if got := g.RecordSuspicion(3, ids.NewMembership(8)); got != nil {
-		t.Fatalf("convicted below quorum: %v", got)
-	}
-	if got := g.RecordSuspicion(4, ids.NewMembership(8)); !got.Equal(ids.NewMembership(8)) {
-		t.Fatalf("quarter-quorum conviction failed: %v", got)
-	}
-}

@@ -223,21 +223,16 @@ func (h *Header) order() binary.ByteOrder {
 	return binary.BigEndian
 }
 
-// versionMinor returns the minor protocol version a message of h's type
-// is emitted under: 1.1 for Packed, 1.2 for Membership (which carries
-// the view lineage since 1.2), 1.0 for everything else, keeping plain
-// traffic byte-identical to a 1.0 sender.
-func (h *Header) versionMinor() byte {
-	switch h.Type {
-	case TypePacked:
-		return VersionMinorPacked
-	case TypeMembership:
-		return VersionMinorLineage
-	case TypeSeqData, TypeSeqAssign:
-		return VersionMinorSeq
-	default:
-		return VersionMinor
-	}
+// minorByType is the minor protocol version each message type appeared
+// in: Header.encode stamps it, and DecodeHeader accepts nothing lower for
+// that type. 1.1 for Packed, 1.2 for Membership (which carries the view
+// lineage since 1.2), 1.3 for the sequencing frames, 1.0 for everything
+// else, keeping plain traffic byte-identical to a 1.0 sender.
+var minorByType = [numTypes]byte{
+	TypePacked:     VersionMinorPacked,
+	TypeMembership: VersionMinorLineage,
+	TypeSeqData:    VersionMinorSeq,
+	TypeSeqAssign:  VersionMinorSeq,
 }
 
 // encode writes the header into buf, which must be at least HeaderSize
@@ -245,7 +240,7 @@ func (h *Header) versionMinor() byte {
 func (h *Header) encode(buf []byte) {
 	copy(buf[0:4], Magic[:])
 	buf[4] = VersionMajor
-	buf[5] = h.versionMinor()
+	buf[5] = minorByType[h.Type]
 	var flags byte
 	if h.LittleEndian {
 		flags |= 0x01
@@ -283,22 +278,12 @@ func DecodeHeader(buf []byte) (Header, error) {
 	if !h.Type.Valid() {
 		return h, fmt.Errorf("%w: %d", ErrBadType, buf[7])
 	}
-	if h.Type == TypePacked && buf[5] < VersionMinorPacked {
-		// Packed did not exist before 1.1; a 1.0 frame claiming the type
-		// is corrupt.
-		return h, fmt.Errorf("%w: Packed requires 1.%d, got 1.%d",
-			ErrBadVersion, VersionMinorPacked, buf[5])
-	}
-	if h.Type == TypeMembership && buf[5] < VersionMinorLineage {
-		// Membership bodies carry the view lineage since 1.2; an older
-		// frame claiming the type would decode with garbage lineage.
-		return h, fmt.Errorf("%w: Membership requires 1.%d, got 1.%d",
-			ErrBadVersion, VersionMinorLineage, buf[5])
-	}
-	if (h.Type == TypeSeqData || h.Type == TypeSeqAssign) && buf[5] < VersionMinorSeq {
-		// Sequencing frames did not exist before 1.3.
+	if floor := minorByType[h.Type]; buf[5] < floor {
+		// The type did not exist (Packed, SeqData, SeqAssign) or had a
+		// different body (Membership before the 1.2 view lineage) in that
+		// minor version: the frame is corrupt, or would decode as garbage.
 		return h, fmt.Errorf("%w: %v requires 1.%d, got 1.%d",
-			ErrBadVersion, h.Type, VersionMinorSeq, buf[5])
+			ErrBadVersion, h.Type, floor, buf[5])
 	}
 	bo := h.order()
 	h.Size = bo.Uint32(buf[8:12])
