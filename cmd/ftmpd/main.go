@@ -326,9 +326,9 @@ func main() {
 				}
 				s := node.Stats()
 				fmt.Fprintf(os.Stderr,
-					"ftmpd: members=%v epoch=%d wedged=%v horizon=%v stable=%v buffered=%d+%d queue=%d sent=%d hb=%d nacks=%d retrans=%d rxdrop=%d txdrop=%d\n",
+					"ftmpd: members=%v epoch=%d wedged=%v horizon=%v stable=%v buffered=%d+%d queue=%d sent=%d hb=%d hb_prompt=%d nacks=%d retrans=%d rxdrop=%d txdrop=%d\n",
 					st.Members, st.Epoch, st.Wedged, st.Horizon, st.Stable, st.RMPHeld, st.ROMPPending, st.SendQueue,
-					s.MessagesSent, s.HeartbeatsSent, s.RMP.NacksSent, s.RMP.Retransmissions,
+					s.MessagesSent, s.HeartbeatsSent, s.PromptHeartbeats, s.RMP.NacksSent, s.RMP.Retransmissions,
 					trace.Counter("runtime.rx_overflow_drops"), trace.Counter("runtime.tx_overflow_drops"))
 				fmt.Fprintf(os.Stderr, "ftmpd: order_mode=%s", st.Order)
 				if st.Order == core.OrderLeader {

@@ -239,6 +239,16 @@ func (n *Node) pump(gs *groupState, now int64) {
 	gs.pumping = true
 	defer func() { gs.pumping = false }()
 	n.drainOrdered(gs, now)
+	// Prompt heartbeat (paper section 1: heartbeats serve "liveness, low
+	// latency and fault detection"): what the drain left waits for the
+	// horizon, and if the horizon waits on us the timer would make every
+	// peer sit out the interval. Speak now, at most once per tick.
+	if gs.promptReady && n.holdsHorizon(gs) {
+		gs.promptReady = false
+		n.sendHeartbeat(now, gs) // never suppressed while holdsHorizon
+		n.stats.PromptHeartbeats++
+		n.drainOrdered(gs, now)
+	}
 	n.flushRun(now, gs)
 	n.checkRecovery(gs, now)
 	n.maybeReleaseGate(gs, now)
@@ -267,6 +277,14 @@ func (n *Node) drainOrdered(gs *groupState, now int64) {
 			n.applyOrdered(now, gs, e)
 		}
 	}
+}
+
+// holdsHorizon reports whether this processor's own silence is what the
+// Lamport delivery horizon waits on: the oldest pending entry is stamped
+// above everything it has sent into the group. Never true in leader
+// order or on a frozen (wedged) cut: OldestPending is nil there.
+func (n *Node) holdsHorizon(gs *groupState) bool {
+	return gs.joined && gs.order.Heard(n.cfg.Self) < gs.order.OldestPending()
 }
 
 // drainFlowControl releases queued application sends as this sender's
@@ -814,13 +832,9 @@ func (n *Node) onConnect(now int64, msg wire.Message, raw []byte, arrival wire.M
 	}
 	gs.mem.Heard(h.Source, now)
 	// The Connect flows through RMP/ROMP like any ordered message; its
-	// connection-table effects apply at ordered delivery.
+	// connection-table effects apply at ordered delivery (in Lamport order,
+	// once the pump's prompt heartbeats take the horizon past its timestamp).
 	n.onReliable(now, gs, msg, raw, false)
-	// Announce ourselves promptly so everyone's horizon can pass the
-	// Connect's timestamp (paper's post-Connect gate).
-	if gs.joined && gs.gateTS == ids.NilTimestamp {
-		n.sendHeartbeat(now, gs)
-	}
 	n.pump(gs, now)
 }
 
@@ -881,9 +895,11 @@ func (n *Node) sendHeartbeat(now int64, gs *groupState) {
 		return
 	}
 	// A pending pack is itself heartbeat-equivalent traffic; flushing it
-	// updates lastSent and usually makes the heartbeat unnecessary.
+	// updates lastSent and usually makes the heartbeat unnecessary — not
+	// when the horizon waits on us: the container advertises its last
+	// entry's timestamp, which can lie below the pending one.
 	n.flushPack(now, gs)
-	if now == gs.lastSent {
+	if now == gs.lastSent && !n.holdsHorizon(gs) {
 		return
 	}
 	ts := n.clk.Next(now)

@@ -41,7 +41,8 @@ type Config struct {
 
 	// HeartbeatInterval is the idle time after which a Heartbeat is
 	// multicast to a group (paper section 5: a compromise between
-	// message latency and network traffic; experiment E3).
+	// message latency and network traffic; with the prompt heartbeat of
+	// pump, between detection delays and traffic; experiment E3).
 	HeartbeatInterval int64
 
 	// HeartbeatIdleMax, when larger than HeartbeatInterval, stretches
@@ -292,6 +293,9 @@ type groupState struct {
 	// flowed in this group; heartbeat stretching (HeartbeatIdleMax)
 	// compares against it.
 	lastActivity int64
+	// promptReady limits the prompt heartbeat (pump) to one per tick
+	// interval on top of the timer's: Tick sets it, the send clears it.
+	promptReady bool
 
 	// packEntries buffers messages awaiting a pack flush (PackConfig);
 	// packBytes is the pack's encoded size so far and packSince when its
@@ -367,6 +371,9 @@ type Stats struct {
 	PGMP pgmp.Stats
 	// HeartbeatsSent counts Heartbeat messages originated here.
 	HeartbeatsSent uint64
+	// PromptHeartbeats counts those of HeartbeatsSent sent because this
+	// processor's silence held the delivery horizon, not on the timer.
+	PromptHeartbeats uint64
 	// MessagesSent counts reliable messages originated here.
 	MessagesSent uint64
 	// PacketsIn counts decoded incoming packets.
@@ -642,6 +649,8 @@ func (n *Node) newGroupState(id ids.GroupID, addr wire.MulticastAddr) *groupStat
 		rmp:   rmp.New(n.cfg.Self, id, n.cfg.RMP),
 		order: romp.New(n.cfg.Self),
 		mem:   pgmp.NewGroup(n.cfg.Self, id, n.cfg.PGMP),
+		// Armed from birth: a Connect-formed group announces itself at once.
+		promptReady: true,
 	}
 	if n.cfg.Order == OrderLeader {
 		gs.order.EnableSeqMode()

@@ -15,6 +15,7 @@ func (n *Node) Tick(now int64) {
 		if gs.left {
 			continue
 		}
+		gs.promptReady = true
 		if gs.joined {
 			// Flush a pack whose oldest entry has waited past MaxDelay.
 			if len(gs.packEntries) > 0 && now-gs.packSince >= n.cfg.Pack.maxDelay() {

@@ -1,6 +1,9 @@
 package ftcorba
 
 import (
+	"bytes"
+	"slices"
+
 	"ftmp/internal/ids"
 )
 
@@ -10,8 +13,36 @@ import (
 // section 4), so once every request up to a watermark has been processed
 // and replied, the per-request filter entries below it can be collapsed
 // into the watermark itself: anything at or below it is a duplicate by
-// definition. Logs are the application's durability artifact, so they
-// are trimmed only on explicit request.
+// definition.
+//
+// The in-memory message log is a bounded tail per connection: at most
+// logTail of the newest entries, each owning a copy of its payload, so a
+// connection costs O(1) memory however long it lives. Older history is
+// in the write-ahead log when one is attached and nowhere otherwise;
+// both readers answer for a range no longer held (onReplay skips it,
+// onGetDelta falls back to a snapshot at the same cut).
+
+// logTail bounds each connection's in-memory log. A log that reaches it
+// drops its older half, so the newest logTail/2 entries are always held.
+const logTail = 512
+
+// logAppend adds e to conn's log with a payload copy of its own: an alias
+// would pin the whole receive slab (or WAL segment) the buffer is part of.
+func (f *Infra) logAppend(conn ids.ConnectionID, e LogEntry) {
+	e.Payload = bytes.Clone(e.Payload)
+	l := append(f.logs[conn], e)
+	if len(l) >= logTail {
+		n := copy(l, l[len(l)-logTail/2:])
+		clear(l[n:]) // release the dropped payloads
+		l = l[:n]
+	}
+	f.logs[conn] = l
+}
+
+// holdsReply reports whether conn's log already holds a reply to req.
+func (f *Infra) holdsReply(conn ids.ConnectionID, req ids.RequestNum) bool {
+	return slices.ContainsFunc(f.logs[conn], func(e LogEntry) bool { return e.ReqNum == req && !e.Request })
+}
 
 // compactionBatch is how many completed entries accumulate before a
 // compaction pass runs.
@@ -101,10 +132,9 @@ func (d *dupFilter) upTo(conn ids.ConnectionID) ids.RequestNum {
 func (f *Infra) FilterSize() int { return len(f.processed.marks) + len(f.replied.marks) }
 
 // TrimLog discards log entries for conn with request numbers at or
-// below upTo. The application owns log retention policy (the log is its
-// replay/recovery artifact); the infrastructure never trims on its own.
-// Entries with request number zero (infrastructure control traffic) are
-// always trimmed.
+// below upTo, for an application with no use for even the bounded tail
+// logAppend keeps. Entries with request number zero (infrastructure
+// control traffic) are always trimmed.
 func (f *Infra) TrimLog(conn ids.ConnectionID, upTo ids.RequestNum) {
 	in := f.logs[conn]
 	if len(in) == 0 {
@@ -116,5 +146,6 @@ func (f *Infra) TrimLog(conn ids.ConnectionID, upTo ids.RequestNum) {
 			out = append(out, e)
 		}
 	}
+	clear(in[len(out):]) // release the trimmed payloads
 	f.logs[conn] = out
 }

@@ -21,10 +21,21 @@ import (
 // processed requests against the local servants, so the servant state
 // is exactly the logged history.
 //
-// Recovery-point semantics: the RecOp record for a request is written
-// (appendLog) before its RecMark processed record (dispatch), so a
-// crash between the two leaves an op without a mark — recovery then
-// does not replay it into the servant and does not claim it processed,
+// Commit points: the records one delivery produces gather in a batch
+// and reach the log through one wal.Log.AppendBatch — one write, one
+// Sync under SyncAlways — at each point something must not precede them:
+// a request's RecOp and processed mark before the servant runs and its
+// Reply is multicast (dispatch); the first reply's RecOp and replied
+// mark before the caller's callback (onReply); whatever a control
+// message states before it is multicast (sendControlOn); a snapshot
+// before the watermark jump it justifies (walSnapshot); the rest before
+// OnDeliver returns. Records written outside a delivery commit at once.
+//
+// Recovery-point semantics: the RecOp record for a request precedes its
+// RecMark processed record, in a batch as in separate appends, and a
+// crash mid-batch leaves a prefix of it (records are framed on their
+// own): an op without its mark is possible, a mark without its op is
+// not. Recovery does not replay such an op and does not claim it processed,
 // which matches the fact that its reply was never sent. The servant
 // state rebuilt from the log is therefore always consistent with the
 // recovered duplicate-suppression filter.
@@ -93,15 +104,29 @@ func (f *Infra) AttachWAL(w *wal.Log, onErr func(error)) {
 // WAL returns the attached log (nil if none).
 func (f *Infra) WAL() *wal.Log { return f.wal }
 
-func (f *Infra) walAppend(r wal.Record) {
+// walAppend queues r for the log — until the delivery's next commit point
+// while OnDeliver runs, else committed at once — and reports a failed commit.
+func (f *Infra) walAppend(r wal.Record) bool {
 	if f.wal == nil {
-		return
+		return true
 	}
-	if err := f.wal.Append(r); err != nil {
-		if f.walErr != nil {
-			f.walErr(err)
-		}
+	f.walBatch = append(f.walBatch, r)
+	return f.delivering || f.walCommit()
+}
+
+// walCommit appends every gathered record as one batch and reports
+// whether they are durably logged (vacuously true with none gathered).
+func (f *Infra) walCommit() bool {
+	if len(f.walBatch) == 0 {
+		return true
 	}
+	err := f.wal.AppendBatch(f.walBatch)
+	clear(f.walBatch) // release the payloads
+	f.walBatch = f.walBatch[:0]
+	if err != nil && f.walErr != nil {
+		f.walErr(err)
+	}
+	return err == nil
 }
 
 // walOp mirrors one appendLog entry.
@@ -154,22 +179,12 @@ func (f *Infra) walStateChunk(conn ids.ConnectionID, st *stageState, index uint3
 // unless this succeeded — a logged watermark whose underlying state is
 // not logged would recover as silent data loss.
 func (f *Infra) walSnapshot(conn ids.ConnectionID, markerTS ids.Timestamp, upTo ids.RequestNum, state []byte) bool {
-	if f.wal == nil {
-		return true
-	}
-	err := f.wal.Append(wal.Record{Type: wal.RecSnapshot, Snap: &wal.SnapshotRecord{
+	return f.walAppend(wal.Record{Type: wal.RecSnapshot, Snap: &wal.SnapshotRecord{
 		Conn:     conn,
 		MarkerTS: markerTS,
 		UpTo:     upTo,
 		State:    state,
-	}})
-	if err != nil {
-		if f.walErr != nil {
-			f.walErr(err)
-		}
-		return false
-	}
-	return true
+	}}) && f.walCommit()
 }
 
 // Recovered summarizes what RecoverFromWAL rebuilt.
@@ -270,7 +285,7 @@ func (f *Infra) RecoverFromWAL(records []wal.Record) Recovered {
 				continue
 			}
 			seen[key] = true
-			f.logs[op.Conn] = append(f.logs[op.Conn], LogEntry{
+			f.logAppend(op.Conn, LogEntry{
 				ReqNum:  op.ReqNum,
 				Request: op.Request,
 				TS:      op.TS,
@@ -640,7 +655,7 @@ func (f *Infra) onGetDelta(now int64, d core.Delivery, req *giop.Request) {
 	}
 	upTo := f.watermark(d.Conn)
 	// The delta is the logged requests in (from, upTo]; check coverage —
-	// TrimLog may have dropped part of the range.
+	// the range may reach below the log's bounded tail (or TrimLog).
 	entries := make(map[ids.RequestNum]*LogEntry)
 	for i := range f.logs[d.Conn] {
 		e := &f.logs[d.Conn][i]

@@ -413,8 +413,18 @@ func TestReconciliationSurvivesPeerLoss(t *testing.T) {
 // TestRejoinWithWALDelta: a single replica crashes mid-stream and its
 // replacement restarts from the crashed replica's WAL. It replays the
 // log locally, rejoins under a fresh processor id, and fetches only the
-// operations it missed (the delta) — never a full snapshot.
+// operations it missed (the delta) — never a full snapshot. Unless it
+// missed more than the survivors' bounded in-memory log still holds:
+// then the same _ft_get_delta is answered with a snapshot at the same
+// cut, and the replica converges all the same.
 func TestRejoinWithWALDelta(t *testing.T) {
+	t.Run("delta", func(t *testing.T) { rejoinWithWAL(t, 6, 0, 1) })
+	t.Run("below the log tail", func(t *testing.T) { rejoinWithWAL(t, ftcorba.LogTail, 1, 0) })
+}
+
+// rejoinWithWAL runs the scenario with missed operations acknowledged
+// while the replica was down, and checks how the rejoiner caught up.
+func rejoinWithWAL(t *testing.T, missed int, wantSnapshots, wantDeltas uint64) {
 	servers := ids.NewMembership(1, 2, 3)
 	clients := ids.NewMembership(4)
 	w := newRecoveryWorld(t, 307, servers, clients)
@@ -431,7 +441,7 @@ func TestRejoinWithWALDelta(t *testing.T) {
 	// Traffic continues while 3 is down: the survivors convict it and
 	// move on.
 	post := 0
-	for i := 1; i <= 6; i++ {
+	for i := 1; i <= missed; i++ {
 		i := i
 		w.c.Net.At(w.c.Net.Now()+simnet.Time(i)*5*simnet.Millisecond, func() {
 			err := w.infras[4].Call(int64(w.c.Net.Now()), conn, "deposit", amount(100), func(_ []byte, err error) {
@@ -444,8 +454,8 @@ func TestRejoinWithWALDelta(t *testing.T) {
 			}
 		})
 	}
-	if !w.c.RunUntil(w.c.Net.Now()+60*simnet.Second, func() bool { return post == 6 }) {
-		t.Fatalf("only %d/6 mid-outage deposits completed", post)
+	if !w.c.RunUntil(w.c.Net.Now()+60*simnet.Second, func() bool { return post == missed }) {
+		t.Fatalf("only %d/%d mid-outage deposits completed", post, missed)
 	}
 
 	// The replacement restarts from 3's WAL under fresh id 5.
@@ -477,11 +487,11 @@ func TestRejoinWithWALDelta(t *testing.T) {
 			acct.balance, acct.applied, want, w.accounts[1].applied)
 	}
 	st := infra.Stats()
-	if st.StateTransfers != 0 {
-		t.Errorf("rejoiner applied %d snapshots; WAL rejoin must transfer only the delta", st.StateTransfers)
+	if st.StateTransfers != wantSnapshots {
+		t.Errorf("rejoiner applied %d snapshots, want %d", st.StateTransfers, wantSnapshots)
 	}
-	if st.DeltaTransfers != 1 {
-		t.Errorf("rejoiner delta transfers = %d, want 1", st.DeltaTransfers)
+	if st.DeltaTransfers != wantDeltas {
+		t.Errorf("rejoiner delta transfers = %d, want %d", st.DeltaTransfers, wantDeltas)
 	}
 	// The delta carried exactly the missed operations.
 	if st.WALRecoveredOps == 0 {

@@ -132,7 +132,7 @@ type Infra struct {
 	// delivered to a local caller, the duplicate-reply filter.
 	replied dupFilter
 	pending map[callKey]*pendingCall
-	// logs holds the per-connection message log for replay.
+	// logs holds the per-connection message log for replay (logAppend).
 	logs map[ids.ConnectionID][]LogEntry
 	// objectKeys maps object groups to object keys on the client side
 	// (the information an IOR would carry).
@@ -146,6 +146,10 @@ type Infra struct {
 	// membership epochs to stable storage (see durable.go).
 	wal    *wal.Log
 	walErr func(error)
+	// walBatch gathers the records one delivery produces until its next
+	// commit point; delivering is true while OnDeliver runs (durable.go).
+	walBatch   []wal.Record
+	delivering bool
 	// epochs caches the last installed membership per group so WAL
 	// compaction can retain it (see checkpoint.go).
 	epochs map[ids.GroupID]wal.EpochRecord
@@ -292,12 +296,17 @@ func (f *Infra) OnDeliver(d core.Delivery, now int64) {
 			d.Payload = enc
 		}
 	}
+	// One delivery, one commit: its WAL records gather in walBatch until
+	// a commit point (walCommit's callers) or the end of the delivery.
+	f.delivering = true
 	switch msg.Type {
 	case giop.MsgRequest:
 		f.onRequest(now, d, msg)
 	case giop.MsgReply:
 		f.onReply(d, msg)
 	}
+	f.delivering = false
+	f.walCommit()
 }
 
 func (f *Infra) onRequest(now int64, d core.Delivery, msg giop.Message) {
@@ -346,6 +355,9 @@ func (f *Infra) dispatch(now int64, d core.Delivery, sg *served, req *giop.Reque
 	}
 	f.processed.mark(d.Conn, d.RequestNum)
 	f.walMark(wal.MarkProcessed, d.Conn, d.RequestNum)
+	// Commit point: the request and its processed mark are durable before
+	// the servant runs and before its Reply can reach anyone.
+	f.walCommit()
 	reply := sg.adapter.Dispatch(req)
 	f.stats.RequestsDispatched++
 	if reply == nil {
@@ -371,7 +383,12 @@ func (f *Infra) dispatch(now int64, d core.Delivery, sg *served, req *giop.Reque
 }
 
 func (f *Infra) onReply(d core.Delivery, msg giop.Message) {
-	f.appendLog(d, false)
+	// Only the first Reply delivered for a request is logged: replay needs
+	// a request matched with its reply (paper section 4), and the other
+	// replicas' replies are byte-identical by determinism.
+	if !f.holdsReply(d.Conn, d.RequestNum) {
+		f.appendLog(d, false)
+	}
 	key := callKey{d.Conn, d.RequestNum}
 	pc, waiting := f.pending[key]
 	if !waiting {
@@ -386,6 +403,8 @@ func (f *Infra) onReply(d core.Delivery, msg giop.Message) {
 	}
 	f.replied.mark(d.Conn, d.RequestNum)
 	f.walMark(wal.MarkReplied, d.Conn, d.RequestNum)
+	// Commit point: durable before the caller sees the result.
+	f.walCommit()
 	delete(f.pending, key)
 	f.stats.RepliesDelivered++
 	reply := msg.Reply
@@ -403,7 +422,7 @@ func (f *Infra) onReply(d core.Delivery, msg giop.Message) {
 // matching requests with replies "is necessary, for example, when
 // replaying messages from a log").
 func (f *Infra) appendLog(d core.Delivery, isRequest bool) {
-	f.logs[d.Conn] = append(f.logs[d.Conn], LogEntry{
+	f.logAppend(d.Conn, LogEntry{
 		ReqNum:  d.RequestNum,
 		Request: isRequest,
 		TS:      d.TS,
@@ -412,7 +431,8 @@ func (f *Infra) appendLog(d core.Delivery, isRequest bool) {
 	f.walOp(d, isRequest)
 }
 
-// Log returns the ordered message log for conn.
+// Log returns the ordered message log for conn: its newest entries, at
+// most logTail (older history is in the WAL when one is attached).
 func (f *Infra) Log(conn ids.ConnectionID) []LogEntry { return f.logs[conn] }
 
 // MatchReplies pairs each logged request with its logged reply by

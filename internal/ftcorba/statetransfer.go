@@ -147,6 +147,8 @@ func (f *Infra) sendControl(now int64, conn ids.ConnectionID, og ids.ObjectGroup
 // directly), so its acks address the group carried by the delivery they
 // answer rather than going through ConnectionState.
 func (f *Infra) sendControlOn(now int64, group ids.GroupID, conn ids.ConnectionID, og ids.ObjectGroupID, op string, body []byte) error {
+	// Commit point: the message may state what the gathered records justify.
+	f.walCommit()
 	key, _ := f.servedObjectKeyFor(og)
 	msg := giop.Message{Type: giop.MsgRequest, Request: &giop.Request{
 		RequestID:        0,

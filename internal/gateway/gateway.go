@@ -110,8 +110,12 @@ func (g *Gateway) handler() orb.Handler {
 			return true
 		}
 		sheds = 0
-		g.forward(msg, write)
-		g.release()
+		// The slot is freed before the client can see the reply: one that
+		// reacts to it at once must not find the gateway still full.
+		var once sync.Once
+		release := func() { once.Do(g.release) }
+		g.forward(msg, func(b []byte) error { release(); return write(b) })
+		release()
 		return true
 	}
 }

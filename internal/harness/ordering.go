@@ -115,6 +115,9 @@ type E3Result struct {
 func RunE3Heartbeat(hb simnet.Time, seed int64) E3Result {
 	g := newGroup(seed, 4, simnet.NewConfig(), func(_ ids.ProcessorID, cfg *core.Config) {
 		cfg.HeartbeatInterval = int64(hb)
+		// Fault detection off, as in E5: at hb = the suspect timeout (50 ms)
+		// a timer heartbeat part of a tick late convicts live members.
+		cfg.PGMP.SuspectTimeout = 1 << 60
 	})
 	g.RunFor(200 * simnet.Millisecond)
 	startPkts, start := g.Net.Stats().PacketsSent, g.Net.Now()

@@ -12,8 +12,10 @@
 // nothing that should precede m can still arrive. The delivery horizon
 // is min over members of the latest contiguously-heard timestamp, and
 // pending messages are delivered in timestamp order up to the horizon.
-// Heartbeats advance the horizon when members are idle, which is why the
-// heartbeat interval bounds delivery latency (experiment E3).
+// Heartbeats advance the horizon when members are idle. On a timer alone,
+// as in the paper, their interval bounds delivery latency (EXPERIMENTS.md
+// E3 keeps that curve); here the member whose silence holds the horizon
+// also speaks at once (core's prompt heartbeat), so it no longer does.
 //
 // The same horizon is the processor's acknowledgment timestamp: it has
 // received everything with timestamp <= horizon from every member. A
@@ -325,6 +327,16 @@ func (o *Order) StableTS() ids.Timestamp {
 		}
 	}
 	return min
+}
+
+// OldestPending returns the timestamp of the oldest entry waiting for
+// the Lamport horizon, or nil when none is: nothing pending, the cut
+// frozen, or leader mode (whose entries wait for an assignment instead).
+func (o *Order) OldestPending() ids.Timestamp {
+	if len(o.pending) == 0 || o.frozen {
+		return ids.NilTimestamp
+	}
+	return o.pending[0].TS
 }
 
 // PendingCount returns the number of buffered undeliverable entries.

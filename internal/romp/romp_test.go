@@ -142,6 +142,25 @@ func TestObserveNonMemberIgnored(t *testing.T) {
 	}
 }
 
+func TestOldestPendingNilWhenFrozen(t *testing.T) {
+	// OldestPending names what the horizon is holding back — core asks
+	// it whether this processor's own silence is the hold-up — and a
+	// frozen cut holds nothing back: it will never deliver.
+	o := newOrder(1, 2, 3)
+	if got := o.OldestPending(); got != ids.NilTimestamp {
+		t.Fatalf("OldestPending with nothing pending = %v", got)
+	}
+	o.Submit(entry(3, 1, 30))
+	o.Submit(entry(2, 1, 20))
+	if got := o.OldestPending(); got != ts(20, 2) || got <= o.Heard(self) {
+		t.Fatalf("OldestPending = %v (heard self %v), want %v", got, o.Heard(self), ts(20, 2))
+	}
+	o.Freeze()
+	if got := o.OldestPending(); got != ids.NilTimestamp {
+		t.Fatalf("OldestPending on a frozen cut = %v, want nil", got)
+	}
+}
+
 func TestStability(t *testing.T) {
 	o := newOrder(1, 2, 3)
 	o.ObserveTimestamp(1, ts(100, 1), 0)
