@@ -80,6 +80,30 @@ func (n *Node) NoteDecodeErrors(k uint64) {
 	n.stats.DecodeErrors += k
 }
 
+// BeginBurst and EndBurst let the driver declare a burst: the inputs it
+// feeds back to back before it next waits for one. The protocol does not
+// depend on it; a host whose price per externally visible step (a log
+// Sync) can be paid once per burst does, from the hook it installs with
+// OnBurstEnd. Without a declared burst each upcall is a burst of its own.
+func (n *Node) BeginBurst() { n.inBurst = true }
+
+// EndBurst runs the host's hook at time now, then closes the burst: what
+// the hook makes the node deliver is still part of it.
+func (n *Node) EndBurst(now int64) {
+	if hook := n.burstEnd.Load(); hook != nil {
+		(*hook)(now)
+	}
+	n.inBurst = false
+}
+
+// InBurst reports whether the driver has a burst open.
+func (n *Node) InBurst() bool { return n.inBurst }
+
+// OnBurstEnd installs the host's end-of-burst hook. Alone among Node's
+// methods it may be called off the driver's goroutine: a host is built
+// around a node whose driver already runs (runtime.New).
+func (n *Node) OnBurstEnd(hook func(now int64)) { n.burstEnd.Store(&hook) }
+
 // handleDecoded applies one decoded datagram and returns the group
 // whose pump the caller owes (nil when the message was consumed by a
 // side path that pumps for itself, or dropped). stable reports whether

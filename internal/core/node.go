@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"ftmp/internal/clock"
 	"ftmp/internal/ids"
@@ -426,6 +427,11 @@ type Node struct {
 	// groupList caches sortedGroups' result; groupsDirty marks it stale.
 	groupList   []*groupState
 	groupsDirty bool
+	// inBurst is true between the driver's BeginBurst and EndBurst;
+	// burstEnd is the host's hook (OnBurstEnd), atomic because the host
+	// may install it while the driver already runs.
+	inBurst  bool
+	burstEnd atomic.Pointer[func(now int64)]
 }
 
 type learnedConn struct {

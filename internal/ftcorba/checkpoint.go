@@ -240,6 +240,9 @@ func (f *Infra) CompactWAL(cut ids.Timestamp) error {
 	if f.wal == nil {
 		return nil
 	}
+	// The checkpoint replaces everything logged before it: nothing it
+	// embodies may be appended behind it, nothing staged left out of it.
+	f.flush()
 	state, err := f.encodeCheckpoint()
 	if err != nil {
 		return err

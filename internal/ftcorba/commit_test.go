@@ -23,8 +23,11 @@ import (
 // leave on the disk.
 type syncFS struct {
 	*wal.MemFS
-	syncs int
-	files map[string]*syncFile
+	syncs, writes int
+	files         map[string]*syncFile
+	// onSync, when set, runs as a Sync is entered: the view from inside
+	// a Sync that has not returned yet.
+	onSync func()
 }
 
 type syncFile struct {
@@ -48,10 +51,14 @@ func (fs *syncFS) Create(name string) (wal.File, error) {
 func (f *syncFile) Write(p []byte) (int, error) {
 	n, err := f.File.Write(p)
 	f.written += n
+	f.fs.writes++
 	return n, err
 }
 
 func (f *syncFile) Sync() error {
+	if f.fs.onSync != nil {
+		f.fs.onSync()
+	}
 	err := f.File.Sync()
 	if err == nil {
 		f.synced = f.written
@@ -66,13 +73,14 @@ func (f *syncFile) Sync() error {
 func (fs *syncFS) syncedRecords(t *testing.T) []wal.Record {
 	t.Helper()
 	disk := wal.NewMemFS()
-	for name, sf := range fs.files {
+	names, _ := fs.List() // compaction removes segments
+	for _, name := range names {
 		data, err := fs.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		f, _ := disk.Create(name)
-		if _, err := f.Write(data[:sf.synced]); err != nil {
+		if _, err := f.Write(data[:fs.files[name].synced]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -205,6 +213,31 @@ func TestOneCommitPerDelivery(t *testing.T) {
 	}
 }
 
+// The first Reply is told from the others by looking back from the
+// newest log entry as far as the request itself, whatever lies between. A
+// copy of the request delivered again behind its reply — a sibling client
+// replica's — hides that reply, and the next one is logged too: harmless,
+// as a duplicate arriving after its first copy left the tail is.
+func TestFirstReplyIsFoundLookingBackToTheRequest(t *testing.T) {
+	dr := drive(t, 1)
+	logged := func() (replies int) {
+		for _, e := range dr.infra.Log(conn) {
+			if !e.Request {
+				replies++
+			}
+		}
+		return replies
+	}
+	dr.deliver(dr.request(1), dr.request(2), dr.reply(1), dr.reply(2), dr.reply(1), dr.reply(2), dr.reply(1))
+	if got := logged(); got != 2 {
+		t.Fatalf("log holds %d reply entries for two requests answered five times, want 2", got)
+	}
+	dr.deliver(dr.request(1), dr.reply(1), dr.reply(1))
+	if got := logged(); got != 3 {
+		t.Fatalf("log holds %d reply entries, want 3: one more behind the request's second copy", got)
+	}
+}
+
 // A crash can tear the request's commit between its two records (they
 // are framed independently). The recovery-point rule must hold as it
 // did for a crash between two appends: an op without its mark is not
@@ -287,23 +320,23 @@ func bareInfra(p ids.ProcessorID) *ftcorba.Infra {
 
 // walSnapshot reports true only if the snapshot is durably logged —
 // callers withhold the watermark jump otherwise — whether it commits from
-// inside a delivery or, as in RecoverFromWAL, outside one.
+// inside a declared burst or, as in RecoverFromWAL, outside one.
 func TestSnapshotCommitReportsFailure(t *testing.T) {
-	for _, delivering := range []bool{false, true} {
+	for _, inBurst := range []bool{false, true} {
 		infra := bareInfra(1)
-		if !infra.WALSnapshot(delivering, conn, []byte("state")) {
-			t.Errorf("delivering=%v: walSnapshot without a WAL must be vacuously true", delivering)
+		if !infra.WALSnapshot(inBurst, conn, []byte("state")) {
+			t.Errorf("inBurst=%v: walSnapshot without a WAL must be vacuously true", inBurst)
 		}
 		fs := wal.NewMemFS()
 		l, _ := openWAL(t, fs)
 		reported := 0
 		infra.AttachWAL(l, func(error) { reported++ })
-		if !infra.WALSnapshot(delivering, conn, []byte("state")) || reported != 0 {
-			t.Errorf("delivering=%v: walSnapshot on a healthy log = false (%d errors reported)", delivering, reported)
+		if !infra.WALSnapshot(inBurst, conn, []byte("state")) || reported != 0 {
+			t.Errorf("inBurst=%v: walSnapshot on a healthy log = false (%d errors reported)", inBurst, reported)
 		}
 		fs.SyncErr = errors.New("disk gone")
-		if infra.WALSnapshot(delivering, conn, []byte("state")) || reported != 1 {
-			t.Errorf("delivering=%v: walSnapshot claimed durability on a failed Sync (%d errors reported, want 1)", delivering, reported)
+		if infra.WALSnapshot(inBurst, conn, []byte("state")) || reported != 1 {
+			t.Errorf("inBurst=%v: walSnapshot claimed durability on a failed Sync (%d errors reported, want 1)", inBurst, reported)
 		}
 	}
 }

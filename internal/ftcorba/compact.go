@@ -2,7 +2,6 @@ package ftcorba
 
 import (
 	"bytes"
-	"slices"
 
 	"ftmp/internal/ids"
 )
@@ -26,9 +25,10 @@ import (
 // drops its older half, so the newest logTail/2 entries are always held.
 const logTail = 512
 
-// logAppend adds e to conn's log with a payload copy of its own: an alias
-// would pin the whole receive slab (or WAL segment) the buffer is part of.
-func (f *Infra) logAppend(conn ids.ConnectionID, e LogEntry) {
+// logAppend adds e to conn's log with a payload copy of its own, which it
+// returns: an alias would pin the whole receive slab (or WAL segment) the
+// buffer is part of.
+func (f *Infra) logAppend(conn ids.ConnectionID, e LogEntry) []byte {
 	e.Payload = bytes.Clone(e.Payload)
 	l := append(f.logs[conn], e)
 	if len(l) >= logTail {
@@ -37,11 +37,22 @@ func (f *Infra) logAppend(conn ids.ConnectionID, e LogEntry) {
 		l = l[:n]
 	}
 	f.logs[conn] = l
+	return e.Payload
 }
 
-// holdsReply reports whether conn's log already holds a reply to req.
+// holdsReply reports whether conn's log already holds a reply to req. It
+// looks from the newest entry back as far as the request itself, which
+// every reply follows: the answer costs what is in flight, not the tail.
+// (A request delivered again behind its first reply — a sibling client
+// replica's copy — hides that reply, and the next one is logged too.)
 func (f *Infra) holdsReply(conn ids.ConnectionID, req ids.RequestNum) bool {
-	return slices.ContainsFunc(f.logs[conn], func(e LogEntry) bool { return e.ReqNum == req && !e.Request })
+	l := f.logs[conn]
+	for i := len(l) - 1; i >= 0; i-- {
+		if l[i].ReqNum == req {
+			return !l[i].Request
+		}
+	}
+	return false
 }
 
 // compactionBatch is how many completed entries accumulate before a

@@ -4,13 +4,19 @@ import (
 	"ftmp/internal/ids"
 )
 
-// LogTail exposes the in-memory log bound to the tests.
-const LogTail = logTail
+// LogTail and RideAlongMax expose the in-memory log bound and the
+// ride-along bound to the tests.
+const (
+	LogTail      = logTail
+	RideAlongMax = rideAlongMax
+)
 
-// WALSnapshot exposes walSnapshot, outside a delivery or (delivering)
-// as if from inside OnDeliver, to the commit-point tests.
-func (f *Infra) WALSnapshot(delivering bool, conn ids.ConnectionID, state []byte) bool {
-	f.delivering = delivering
-	defer func() { f.delivering = false }()
+// WALSnapshot exposes walSnapshot, outside a burst or (inBurst) inside
+// one the driver declared, to the commit-point tests.
+func (f *Infra) WALSnapshot(inBurst bool, conn ids.ConnectionID, state []byte) bool {
+	if inBurst {
+		f.node.BeginBurst()
+		defer f.node.EndBurst(0)
+	}
 	return f.walSnapshot(conn, 0, 0, state)
 }

@@ -14,6 +14,7 @@
 package ftcorba
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -146,10 +147,14 @@ type Infra struct {
 	// membership epochs to stable storage (see durable.go).
 	wal    *wal.Log
 	walErr func(error)
-	// walBatch gathers the records one delivery produces until its next
-	// commit point; delivering is true while OnDeliver runs (durable.go).
-	walBatch   []wal.Record
-	delivering bool
+	// walBatch gathers records until the next commit and staged the work
+	// that waits on it; releasing is true while flush runs staged work and
+	// rideUntil is when records nothing waits on stop riding along
+	// (durable.go, "Commit points").
+	walBatch  []wal.Record
+	staged    []func()
+	releasing bool
+	rideUntil int64
 	// epochs caches the last installed membership per group so WAL
 	// compaction can retain it (see checkpoint.go).
 	epochs map[ids.GroupID]wal.EpochRecord
@@ -167,7 +172,7 @@ var (
 // route the node's Deliver callback to OnDeliver and its FaultReport to
 // OnFault.
 func New(self ids.ProcessorID, domain ids.DomainID, node *core.Node) *Infra {
-	return &Infra{
+	f := &Infra{
 		self:         self,
 		domain:       domain,
 		node:         node,
@@ -178,6 +183,8 @@ func New(self ids.ProcessorID, domain ids.DomainID, node *core.Node) *Infra {
 		pending:      make(map[callKey]*pendingCall),
 		logs:         make(map[ids.ConnectionID][]LogEntry),
 	}
+	node.OnBurstEnd(f.endBurst)
+	return f
 }
 
 // Stats returns a snapshot of the infrastructure counters.
@@ -280,6 +287,23 @@ func (f *Infra) OnDeliver(d core.Delivery, now int64) {
 	if d.Conn.IsZero() || len(d.Payload) == 0 {
 		return // not an infrastructure-managed message
 	}
+	if f.releasing {
+		// The node delivered from inside released work — our own Reply's
+		// multicast can make the next request deliverable. It takes its turn
+		// behind everything delivered before it, whole: what it marks must
+		// not show to a control operation ordered ahead of it. The buffer is
+		// the deliverer's again once this returns.
+		d.Payload = bytes.Clone(d.Payload)
+		f.stage(func() { f.deliver(d, now) })
+		return
+	}
+	f.deliver(d, now)
+	f.endEntry()
+}
+
+// deliver handles one delivery in its turn: it gathers the delivery's
+// records and stages what waits on them.
+func (f *Infra) deliver(d core.Delivery, now int64) {
 	msg, err := giop.Decode(d.Payload)
 	if err != nil {
 		return
@@ -296,43 +320,36 @@ func (f *Infra) OnDeliver(d core.Delivery, now int64) {
 			d.Payload = enc
 		}
 	}
-	// One delivery, one commit: its WAL records gather in walBatch until
-	// a commit point (walCommit's callers) or the end of the delivery.
-	f.delivering = true
 	switch msg.Type {
 	case giop.MsgRequest:
 		f.onRequest(now, d, msg)
 	case giop.MsgReply:
 		f.onReply(d, msg)
 	}
-	f.delivering = false
-	f.walCommit()
 }
 
 func (f *Infra) onRequest(now int64, d core.Delivery, msg giop.Message) {
 	req := msg.Request
 	sg, servesHere := f.servedGroups[d.Conn.ServerGroup]
+	var control func(now int64, d core.Delivery, req *giop.Request)
 	switch req.Operation {
 	case opGetState:
-		f.onGetStateMarker(now, d)
-		return
+		control = f.onGetStateMarker
 	case opStateChunk:
-		f.onStateChunk(now, d, req)
-		return
+		control = f.onStateChunk
 	case opStateAck:
-		f.onStateAck(now, d, req)
-		return
+		control = f.onStateAck
 	case opReplay:
-		f.onReplay(now, d, req)
-		return
+		control = f.onReplay
 	case opRecovered:
-		f.onRecovered(now, d, req)
-		return
+		control = f.onRecovered
 	case opGetDelta:
-		f.onGetDelta(now, d, req)
-		return
+		control = f.onGetDelta
 	case opSetDelta:
-		f.onSetDelta(now, d, req)
+		control = f.onSetDelta
+	}
+	if control != nil {
+		f.barrier(func() { control(now, d, req) })
 		return
 	}
 	f.appendLog(d, true)
@@ -357,7 +374,11 @@ func (f *Infra) dispatch(now int64, d core.Delivery, sg *served, req *giop.Reque
 	f.walMark(wal.MarkProcessed, d.Conn, d.RequestNum)
 	// Commit point: the request and its processed mark are durable before
 	// the servant runs and before its Reply can reach anyone.
-	f.walCommit()
+	f.stage(func() { f.execute(now, d, sg, req) })
+}
+
+// execute is dispatch's staged half: the servant's run and its Reply.
+func (f *Infra) execute(now int64, d core.Delivery, sg *served, req *giop.Request) {
 	reply := sg.adapter.Dispatch(req)
 	f.stats.RequestsDispatched++
 	if reply == nil {
@@ -403,26 +424,29 @@ func (f *Infra) onReply(d core.Delivery, msg giop.Message) {
 	}
 	f.replied.mark(d.Conn, d.RequestNum)
 	f.walMark(wal.MarkReplied, d.Conn, d.RequestNum)
-	// Commit point: durable before the caller sees the result.
-	f.walCommit()
 	delete(f.pending, key)
 	f.stats.RepliesDelivered++
 	reply := msg.Reply
-	switch reply.Status {
-	case giop.NoException:
-		pc.cb(reply.Body, nil)
-	case giop.UserException:
-		pc.cb(nil, orb.DecodeException(reply.Body, false))
-	default:
-		pc.cb(nil, orb.DecodeException(reply.Body, true))
-	}
+	// Commit point: durable before the caller sees the result.
+	f.stage(func() {
+		switch reply.Status {
+		case giop.NoException:
+			pc.cb(reply.Body, nil)
+		case giop.UserException:
+			pc.cb(nil, orb.DecodeException(reply.Body, false))
+		default:
+			pc.cb(nil, orb.DecodeException(reply.Body, true))
+		}
+	})
 }
 
 // appendLog records a message on its connection's log (paper section 4:
 // matching requests with replies "is necessary, for example, when
 // replaying messages from a log").
 func (f *Infra) appendLog(d core.Delivery, isRequest bool) {
-	f.logAppend(d.Conn, LogEntry{
+	// The WAL record shares the log entry's copy: it outlives the delivery
+	// (until its burst's commit, or longer riding along).
+	d.Payload = f.logAppend(d.Conn, LogEntry{
 		ReqNum:  d.RequestNum,
 		Request: isRequest,
 		TS:      d.TS,

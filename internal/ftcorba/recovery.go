@@ -45,6 +45,11 @@ import (
 // joiner's resume ack. Wire it to core.Callbacks.ViewChange alongside
 // OnDeliver; leaving it unwired keeps the manual AddReplica workflow.
 func (f *Infra) OnViewChange(v core.ViewChange, now int64) {
+	f.barrier(func() { f.onViewChange(v, now) })
+	f.endEntry()
+}
+
+func (f *Infra) onViewChange(v core.ViewChange, now int64) {
 	// Every installed view is a durable membership epoch: cold start
 	// recreates the group at the last logged one (core.CreateGroupAt).
 	// A wedge is NOT an installed view — the runtime's executor logs the

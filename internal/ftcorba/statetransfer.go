@@ -148,7 +148,7 @@ func (f *Infra) sendControl(now int64, conn ids.ConnectionID, og ids.ObjectGroup
 // answer rather than going through ConnectionState.
 func (f *Infra) sendControlOn(now int64, group ids.GroupID, conn ids.ConnectionID, og ids.ObjectGroupID, op string, body []byte) error {
 	// Commit point: the message may state what the gathered records justify.
-	f.walCommit()
+	f.flush()
 	key, _ := f.servedObjectKeyFor(og)
 	msg := giop.Message{Type: giop.MsgRequest, Request: &giop.Request{
 		RequestID:        0,
@@ -175,7 +175,7 @@ func (f *Infra) sendControlOn(now int64, group ids.GroupID, conn ids.ConnectionI
 }
 
 // onGetStateMarker handles the ordered _ft_get_state marker.
-func (f *Infra) onGetStateMarker(now int64, d core.Delivery) {
+func (f *Infra) onGetStateMarker(now int64, d core.Delivery, _ *giop.Request) {
 	sg, ok := f.servedGroups[d.Conn.ServerGroup]
 	if !ok {
 		return

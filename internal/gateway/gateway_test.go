@@ -359,6 +359,63 @@ func TestGatewayShedsLoadAndClosesOverloadedClient(t *testing.T) {
 	}
 }
 
+// A stub client shed by the gateway gets an error for each refused
+// request, and for the CloseConnection that ends sustained overload —
+// it used to wait for a Reply that was never coming.
+func TestShedStubClientGetsErrorsNotAHang(t *testing.T) {
+	w := buildWorld(t)
+	gw := gateway.New(w.runners[3], w.infras[3], conn)
+	gw.MaxInFlight = 1
+	addr, err := gw.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	// Connection A occupies the single in-flight slot with a slow call.
+	a, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	rawRequest(t, a, 1, "slow")
+	time.Sleep(50 * time.Millisecond) // let A's request reach the group
+
+	cli, err := orb.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	invoke := func() error {
+		done := make(chan error, 1)
+		go func() {
+			_, err := cli.Invoke("counter", "get", nil)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(5 * time.Second):
+			t.Fatal("Invoke hung on a shed request")
+			return nil
+		}
+	}
+	for i := 0; i < 8; i++ { // the gateway's shedCloseAfter
+		if err := invoke(); !errors.Is(err, orb.ErrRefused) {
+			t.Fatalf("shed request %d: got %v, want ErrRefused", i, err)
+		}
+	}
+	// The eighth refusal came with a CloseConnection behind it; depending
+	// on when the kernel tears the socket down the next request meets
+	// that message or a dead socket, never a hang.
+	if err := invoke(); err == nil {
+		t.Fatal("request after sustained overload succeeded on a closed connection")
+	}
+	if err := invoke(); err == nil {
+		t.Fatal("the stub kept using a connection its peer closed")
+	}
+}
+
 func TestGatewayRetriesUntilEstablished(t *testing.T) {
 	// The logical connection is opened only after the client's request
 	// is already inside the gateway: graceful degradation retries the

@@ -249,6 +249,9 @@ func (c *Client) Invoke(objectKey, op string, args []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if err := c.refused(msg); err != nil {
+			return nil, err
+		}
 		reply := msg.Reply
 		if msg.Type != giop.MsgReply || reply == nil {
 			continue
@@ -321,8 +324,27 @@ func (c *Client) Locate(objectKey string) (giop.LocateStatus, error) {
 		if err != nil {
 			return 0, err
 		}
+		if err := c.refused(msg); err != nil {
+			return 0, err
+		}
 		if msg.Type == giop.MsgLocateReply && msg.LocateReply.RequestID == id {
 			return msg.LocateReply.Status, nil
 		}
 	}
+}
+
+// refused reports the error behind a message that ends the wait for a
+// reply: neither MessageError nor CloseConnection carries a request id,
+// and the stub has one request outstanding, so it is the one meant. The
+// caller holds c.mu.
+func (c *Client) refused(msg giop.Message) error {
+	switch msg.Type {
+	case giop.MsgMessageError:
+		return ErrRefused
+	case giop.MsgCloseConnection:
+		c.closed = true
+		c.conn.Close()
+		return ErrPeerClosed
+	}
+	return nil
 }

@@ -167,5 +167,15 @@ func DecodeException(body []byte, system bool) *Exception {
 	return &Exception{System: system, RepoID: id}
 }
 
-// ErrClosed is returned by clients after Close.
-var ErrClosed = errors.New("orb: connection closed")
+// Errors returned by clients.
+var (
+	// ErrClosed is returned after Close.
+	ErrClosed = errors.New("orb: connection closed")
+	// ErrRefused is returned when the peer answered MessageError instead
+	// of replying: it will not serve the request (a gateway shedding
+	// load does this); the connection stays usable.
+	ErrRefused = errors.New("orb: peer refused the request (MessageError)")
+	// ErrPeerClosed is returned when the peer sent CloseConnection; the
+	// client is closed.
+	ErrPeerClosed = errors.New("orb: peer closed the connection (CloseConnection)")
+)

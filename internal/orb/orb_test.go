@@ -262,6 +262,53 @@ func TestClientClosed(t *testing.T) {
 	}
 }
 
+// A peer that answers MessageError or CloseConnection sends no Reply;
+// the stub must say so instead of waiting for one.
+func TestClientReportsRefusalAndPeerClose(t *testing.T) {
+	encode := func(m giop.Message) []byte {
+		out, err := giop.Encode(m, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	refuse := encode(giop.Message{Type: giop.MsgMessageError, MessageError: &giop.MessageError{}})
+	closing := encode(giop.Message{Type: giop.MsgCloseConnection, CloseConnection: &giop.CloseConnection{}})
+	// The peer refuses two messages, then says CloseConnection and keeps
+	// the socket open: only the message can end the client's wait.
+	lis := NewListener(func() Handler {
+		seen := 0
+		return func(_ giop.Message, write func([]byte) error) bool {
+			if seen++; seen <= 2 {
+				return write(refuse) == nil
+			}
+			return write(closing) == nil
+		}
+	})
+	addr, err := lis.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Invoke("x", "y", nil); !errors.Is(err, ErrRefused) {
+		t.Errorf("Invoke answered MessageError: err = %v, want ErrRefused", err)
+	}
+	if _, err := cli.Locate("x"); !errors.Is(err, ErrRefused) {
+		t.Errorf("Locate answered MessageError: err = %v, want ErrRefused", err)
+	}
+	if _, err := cli.Invoke("x", "y", nil); !errors.Is(err, ErrPeerClosed) {
+		t.Errorf("Invoke answered CloseConnection: err = %v, want ErrPeerClosed", err)
+	}
+	if _, err := cli.Invoke("x", "y", nil); !errors.Is(err, ErrClosed) {
+		t.Errorf("Invoke after the peer closed: err = %v, want ErrClosed", err)
+	}
+}
+
 func TestServerRejectsGarbage(t *testing.T) {
 	a := NewAdapter()
 	a.Register("counter", &counterServant{})

@@ -55,6 +55,7 @@ func (h *entryHeap) Pop() any {
 	old := *h
 	n := len(old)
 	e := old[n-1]
+	old[n-1] = Entry{} // release the Msg reference
 	*h = old[:n-1]
 	return e
 }
@@ -85,7 +86,9 @@ type Order struct {
 	// entry; delivery never goes backwards.
 	lastDelivered ids.Timestamp
 	// deliverScratch backs the slice Deliverable and FlushThrough return;
-	// its contents are valid only until the next drain call.
+	// its contents are valid only until the next drain call, which clears
+	// them: a delivered entry left behind would pin the receive slab its
+	// message was carved from.
 	deliverScratch []Entry
 	// frozen pins the delivery cut: Deliverable and FlushThrough return
 	// nothing while set. A wedged minority (PGMP primary partition)
@@ -261,6 +264,7 @@ func (o *Order) drainThrough(limit ids.Timestamp) []Entry {
 	if o.frozen {
 		return nil
 	}
+	clear(o.deliverScratch)
 	out := o.deliverScratch[:0]
 	for len(o.pending) > 0 && o.pending[0].TS <= limit {
 		e := o.popPending()

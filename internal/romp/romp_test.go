@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"ftmp/internal/ids"
+	"ftmp/internal/wire"
 )
 
 const self = ids.ProcessorID(1)
@@ -346,4 +347,54 @@ func TestStringer(t *testing.T) {
 	if newOrder(1, 2).String() == "" {
 		t.Error("empty String()")
 	}
+}
+
+// Delivered entries must not outlive their delivery in the layer's
+// backing arrays: an Entry holds its wire.Message, whose payload aliases
+// the receive slab it was carved from, so one stale slot pins 64 KB.
+func TestDrainsLeaveNoEntryBehind(t *testing.T) {
+	payload := &wire.Regular{Payload: []byte("pinned")}
+	submit := func(o *Order, n int) {
+		for i := 1; i <= n; i++ {
+			e := entry(self, ids.SeqNum(i), uint64(i))
+			e.Msg.Body = payload
+			o.Submit(e)
+		}
+	}
+	clean := func(name string, backing []Entry) {
+		t.Helper()
+		for i, e := range backing[len(backing):cap(backing)] {
+			if e.Msg.Body != nil || e.TS != 0 {
+				t.Errorf("%s: slot %d beyond len still holds %+v", name, len(backing)+i, e)
+			}
+		}
+	}
+	drains := map[string]func(*Order) []Entry{
+		"Deliverable":    (*Order).Deliverable,
+		"SeqDeliverable": (*Order).SeqDeliverable,
+	}
+	for name, drain := range drains {
+		o := newOrder(self)
+		if name == "SeqDeliverable" {
+			o.EnableSeqMode()
+			for i := 1; i <= 8; i++ {
+				o.AssignNext(wire.SeqRef{Source: self, Seq: ids.SeqNum(i)})
+			}
+		}
+		submit(o, 8)
+		if got := drain(o); len(got) != 8 {
+			t.Fatalf("%s: drained %d entries, want 8", name, len(got))
+		}
+		// The result is the caller's until the next drain, which returns
+		// nothing here and must leave nothing of the last one behind.
+		if got := drain(o); got != nil {
+			t.Fatalf("%s: second drain returned %d entries", name, len(got))
+		}
+		clean(name+" scratch", o.deliverScratch)
+		clean(name+" pending", o.pending)
+	}
+	h := entryHeap{entry(self, 1, 1)}
+	h[0].Msg.Body = payload
+	h.Pop()
+	clean("entryHeap.Pop", h)
 }

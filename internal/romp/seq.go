@@ -185,6 +185,7 @@ func (o *Order) SeqDeliverable() []Entry {
 	if o.frozen || !o.seq.enabled {
 		return nil
 	}
+	clear(o.deliverScratch)
 	out := o.deliverScratch[:0]
 	for {
 		if o.seq.holes[o.seq.next] {

@@ -8,3 +8,6 @@ func ShrinkQueues(ringSlots, shardDepth int) (restore func()) {
 	rxRingSlots, sendShardDepth = ringSlots, shardDepth
 	return func() { rxRingSlots, sendShardDepth = oldRing, oldShard }
 }
+
+// RxBurstMax exposes the per-turn ingest cap to the tests.
+const RxBurstMax = rxBurstMax

@@ -11,8 +11,8 @@
 //	transport readers
 //	      │ offer
 //	      ▼
-//	   rxRing ──▶ decode     RecvWorkers   0: the loop takes raw datagrams, one per turn
-//	      │                                N: N workers pre-decode, the loop takes batches
+//	   rxRing ──▶ decode     RecvWorkers   0: the loop takes raw datagrams, decoding each itself
+//	      │                                N: N workers pre-decode, the loop takes them as a batch
 //	      ▼ (arrival order)
 //	 event loop: core.HandlePacket / HandleBatch / Tick / Do
 //	      │                      │
@@ -25,10 +25,16 @@
 //	      ▼                   application
 //	  transport
 //
+// A loop turn on the ring takes what it holds, up to rxBurstMax
+// datagrams at every width, and is declared to the node as one burst
+// (core.Node.BeginBurst/EndBurst), as is each tick.
+//
 // The zero Options keep every upcall on the loop goroutine, so
 // application callbacks see the same single-threaded world the
-// simulator provides; hosts whose callbacks are loop-affine (the CORBA
-// infrastructure) depend on that.
+// simulator provides. Loop-affine hosts depend on that; the CORBA
+// infrastructure is one, and commits its own log once per burst from the
+// node's end-of-burst hook (ftcorba/durable.go, "Commit points"): the
+// loop sleeps in that Sync, and what queues meanwhile is the next burst.
 package runtime
 
 import (
@@ -49,7 +55,7 @@ import (
 const (
 	// tickInterval is the timer cadence.
 	tickInterval = time.Millisecond
-	// rxBurstMax caps the messages per core.HandleBatch call.
+	// rxBurstMax caps the datagrams one loop turn takes from the ring.
 	rxBurstMax = 256
 	// walBatchDefault is what a zero Options.WALBatch means.
 	walBatchDefault = 64
@@ -95,7 +101,7 @@ type Options struct {
 	// RecvWorkers is the number of decode workers that pre-parse
 	// datagrams off the loop; the loop then ingests them in
 	// arrival-order batches via core.HandleBatch. With 0 the loop decodes
-	// each datagram itself (core.HandlePacket), one per loop turn.
+	// each datagram itself (core.HandlePacket, a pump per datagram).
 	RecvWorkers int
 
 	// DeliveryDepth > 0 runs Deliver/ViewChange/FaultReport upcalls on
@@ -225,25 +231,36 @@ func (r *Runner) loop() {
 		case <-r.stop:
 			return
 		case <-r.ring.notify:
-			r.ingest()
+			r.burst(false)
 		case op := <-r.ops:
 			op(r.Now())
 		case <-ticker.C:
 			// The tick also resumes ingestion after a backpressure
 			// pause (the ring's wakeup may have been consumed while
 			// paused), at worst one tick late.
-			r.ingest()
-			r.Node.Tick(r.Now())
+			r.burst(true)
 		}
 	}
 }
 
-// ingest feeds the core one burst from the receive ring: a single raw
-// datagram at width 0 — so that ticks and operations are served between
-// datagrams — or up to rxBurstMax decoded ones as one batch. While the
-// delivery executor is backlogged ingestion pauses instead (the ring
-// and, transitively, the kernel socket buffer absorb the burst) and
-// the loop stays live.
+// burst is one loop turn on the receive ring, the timer work behind it
+// on a tick, declared to the node as one burst: a host that commits per
+// burst pays once for everything that queued while the loop was away.
+func (r *Runner) burst(tick bool) {
+	r.Node.BeginBurst()
+	r.ingest()
+	if tick {
+		r.Node.Tick(r.Now())
+	}
+	r.Node.EndBurst(r.Now())
+}
+
+// ingest feeds the core what the receive ring holds, up to rxBurstMax
+// datagrams, so that ticks and operations are served between bursts: raw
+// ones each decoded and pumped on its own (core.HandlePacket) at width 0,
+// decoded ones as one batch otherwise. While the delivery executor is
+// backlogged ingestion pauses instead (the ring and, transitively, the
+// kernel socket buffer absorb the burst) and the loop stays live.
 func (r *Runner) ingest() {
 	if r.exec.backlogged() {
 		if !r.paused {
@@ -253,11 +270,8 @@ func (r *Runner) ingest() {
 		return
 	}
 	r.paused = false
-	burst, batch, errs := 1, r.batch[:0], uint64(0)
-	if r.workers > 0 {
-		burst = rxBurstMax
-	}
-	for ; burst > 0; burst-- {
+	batch, errs := r.batch[:0], uint64(0)
+	for burst := rxBurstMax; burst > 0; burst-- {
 		in, bad, ok := r.ring.next()
 		if !ok {
 			break
