@@ -237,17 +237,17 @@ func (f *Infra) retainRecords() []wal.Record {
 // nil with no WAL attached. On failure the log stays appendable
 // (wal.Compact's degrade contract) and the caller retries later.
 func (f *Infra) CompactWAL(cut ids.Timestamp) error {
-	if f.wal == nil {
+	if f.wal.Log == nil {
 		return nil
 	}
 	// The checkpoint replaces everything logged before it: nothing it
 	// embodies may be appended behind it, nothing staged left out of it.
-	f.flush()
+	f.wal.Flush()
 	state, err := f.encodeCheckpoint()
 	if err != nil {
 		return err
 	}
-	if err := f.wal.Compact(cut, state, f.retainRecords()); err != nil {
+	if err := f.wal.Log.Compact(cut, state, f.retainRecords()); err != nil {
 		return err
 	}
 	trace.Inc("ftcorba.wal_compactions")

@@ -21,24 +21,25 @@ import (
 // processed requests against the local servants, so the servant state
 // is exactly the logged history.
 //
-// Commit points: one commit per burst. The records deliveries produce
-// gather in a batch, and what must not precede them is staged instead of
-// done: the servant's run and its Reply multicast behind the request's
-// RecOp and processed mark (dispatch), the caller's callback behind the
-// first reply's RecOp and replied mark (onReply). flush puts the batch in
-// the log through one wal.Log.AppendBatch — one write, one Sync under
-// SyncAlways — then releases the staged work in delivery order. It runs
-// at the end of each burst the node's driver declares (endBurst; package
-// runtime declares one per receive-ring wakeup and per tick, so whatever
-// queued during a Sync shares the next) and, outside any, at the end of
-// each delivery or view change, a burst of one (endEntry). Whatever reads
-// or states what the log and the servants hold takes its place in that
-// order and finds them settled (barrier: control operations, view
-// changes; flush: sendControlOn, walSnapshot, CompactWAL, WAL). Records
-// nothing waits on — another replica's first Reply at a server, the
-// client's own Request, an installed epoch — force no commit at a
-// declared burst's end: they ride along with the next, rideAlongMax at
-// most.
+// Commit points: one commit per burst, kept by a wal.SyncBatch (f.wal).
+// The records deliveries produce gather in it, and what must not precede
+// them is staged instead of done: the servant's run and its Reply
+// multicast behind the request's RecOp and processed mark (dispatch), the
+// caller's callback behind the first reply's RecOp and replied mark
+// (onReply). Its Flush puts the batch in the log through one
+// wal.Log.AppendBatch — one write, one Sync under SyncAlways — then
+// releases the staged work in delivery order. It runs at the end of each
+// burst the node's driver declares (SyncBatch.EndBurst, the node's
+// end-of-burst hook; package runtime declares one per receive-ring wakeup
+// and per tick, so whatever queued during a Sync shares the next) and,
+// outside any, at the end of each delivery or view change, a burst of one
+// (endEntry). Whatever reads or states what the log and the servants hold
+// takes its place in that order and finds them settled (Barrier: control
+// operations, view changes; Flush: sendControlOn, walSnapshot, CompactWAL,
+// WAL). Records nothing waits on — another replica's first Reply at a
+// server, the client's own Request, an installed epoch — force no commit
+// at a declared burst's end: they ride along with the next,
+// wal.RideAlongMax at most.
 //
 // Recovery-point semantics: the RecOp record for a request precedes its
 // RecMark processed record, in a batch as in separate appends, and a
@@ -106,119 +107,29 @@ type reconState struct {
 // failures; the wal.Log itself turns sticky after the first failure, so
 // a durability hole is reported loudly rather than silently widened.
 func (f *Infra) AttachWAL(w *wal.Log, onErr func(error)) {
-	f.wal = w
-	f.walErr = onErr
+	f.wal.Log, f.wal.OnError = w, onErr
 }
 
 // WAL returns the attached log (nil if none), settled: it holds every
 // record gathered so far.
 func (f *Infra) WAL() *wal.Log {
-	f.flush()
-	return f.wal
-}
-
-// rideAlongMax bounds how long records nothing waits on stay gathered
-// past a declared burst's end. It spans a few commits of a busy log,
-// which carry them for free: a burst end with nothing staged is then a
-// replica waiting for its peers' voices, and a Sync of its own would hold
-// back the requests about to become deliverable (1 ms here read 0.24 ms
-// more on call_window's longest reply gap than 5 ms).
-const rideAlongMax = 5_000_000
-
-// walAppend gathers r for the next commit.
-func (f *Infra) walAppend(r wal.Record) {
-	if f.wal != nil {
-		f.walBatch = append(f.walBatch, r)
-	}
-}
-
-// walCommit appends every gathered record as one batch and reports
-// whether they are durably logged (vacuously true with none gathered).
-func (f *Infra) walCommit() bool {
-	if len(f.walBatch) == 0 {
-		return true
-	}
-	err := f.wal.AppendBatch(f.walBatch)
-	clear(f.walBatch) // release the payloads
-	f.walBatch, f.rideUntil = f.walBatch[:0], 0
-	if err != nil && f.walErr != nil {
-		f.walErr(err)
-	}
-	return err == nil
-}
-
-// stage queues work that must not happen before the records gathered so
-// far are durable; flush releases it.
-func (f *Infra) stage(work func()) { f.staged = append(f.staged, work) }
-
-// flush commits what has been gathered and releases what was staged, in
-// order, until nothing is staged. Released work can make the node deliver
-// (our own Reply's multicast may make the next request deliverable);
-// OnDeliver stages such a delivery whole, so it is handled in the next
-// round and what it stages runs in the round after, behind a commit of
-// its own. A failed commit is reported (AttachWAL's onErr) and the work
-// still released, as the runtime's executor does. Called from inside a
-// release it only commits. It reports whether what was gathered when it
-// was called is durably logged.
-func (f *Infra) flush() bool {
-	ok := f.walCommit()
-	for !f.releasing && len(f.staged) > 0 {
-		f.releasing = true
-		round := f.staged
-		f.staged = nil
-		for _, work := range round {
-			work()
-		}
-		f.releasing = false
-		if len(f.staged) > 0 {
-			f.walCommit()
-		}
-	}
-	return ok
-}
-
-// barrier runs fn, which reads or states what the log and the servants
-// hold, in its place in the delivery order: behind everything staged
-// before it, committed and released, and ahead of whatever that release
-// makes the node deliver.
-func (f *Infra) barrier(fn func()) {
-	f.stage(fn)
-	if !f.releasing {
-		f.flush()
-	}
+	f.wal.Flush()
+	return f.wal.Log
 }
 
 // endEntry ends a delivery or view change. Outside a declared burst and
 // outside a release it is a burst of one and ends here, what its release
 // gathered committed too: no later end is promised for it to ride to.
 func (f *Infra) endEntry() {
-	if !f.node.InBurst() && !f.releasing {
-		f.flush()
-		f.walCommit()
+	if !f.node.InBurst() && !f.wal.Releasing() {
+		f.wal.Flush()
+		f.wal.Commit()
 	}
-}
-
-// endBurst is the node's end-of-burst hook: one commit for everything
-// the burst delivered, if something staged waits on it or the gathered
-// records have ridden along for rideAlongMax.
-func (f *Infra) endBurst(now int64) {
-	if len(f.staged) == 0 {
-		if len(f.walBatch) == 0 {
-			return
-		}
-		if f.rideUntil == 0 {
-			f.rideUntil = now + rideAlongMax
-		}
-		if now < f.rideUntil {
-			return
-		}
-	}
-	f.flush()
 }
 
 // walOp mirrors one appendLog entry.
 func (f *Infra) walOp(d core.Delivery, isRequest bool) {
-	f.walAppend(wal.Record{Type: wal.RecOp, Op: &wal.OpRecord{
+	f.wal.Add(wal.Record{Type: wal.RecOp, Op: &wal.OpRecord{
 		Conn:    d.Conn,
 		ReqNum:  d.RequestNum,
 		Request: isRequest,
@@ -229,7 +140,7 @@ func (f *Infra) walOp(d core.Delivery, isRequest bool) {
 
 // walMark mirrors one duplicate-filter entry.
 func (f *Infra) walMark(kind wal.MarkKind, conn ids.ConnectionID, req ids.RequestNum) {
-	f.walAppend(wal.Record{Type: wal.RecMark, Mark: &wal.MarkRecord{Kind: kind, Conn: conn, ReqNum: req}})
+	f.wal.Add(wal.Record{Type: wal.RecMark, Mark: &wal.MarkRecord{Kind: kind, Conn: conn, ReqNum: req}})
 }
 
 // walEpoch mirrors one installed membership view.
@@ -243,14 +154,14 @@ func (f *Infra) walEpoch(group ids.GroupID, viewTS ids.Timestamp, members ids.Me
 		f.epochs = make(map[ids.GroupID]wal.EpochRecord)
 	}
 	f.epochs[group] = rec
-	f.walAppend(wal.Record{Type: wal.RecEpoch, Epoch: &rec})
+	f.wal.Add(wal.Record{Type: wal.RecEpoch, Epoch: &rec})
 }
 
 // walStateChunk mirrors one staged state-transfer chunk, so a joiner
 // that crashes mid-transfer recovers its staging area and resumes the
 // stream from its acknowledged position instead of starting over.
 func (f *Infra) walStateChunk(conn ids.ConnectionID, st *stageState, index uint32, data []byte) {
-	f.walAppend(wal.Record{Type: wal.RecStateChunk, Chunk: &wal.StateChunkRecord{
+	f.wal.Add(wal.Record{Type: wal.RecStateChunk, Chunk: &wal.StateChunkRecord{
 		Conn:     conn,
 		MarkerTS: st.markerTS,
 		UpTo:     st.upTo,
@@ -266,13 +177,13 @@ func (f *Infra) walStateChunk(conn ids.ConnectionID, st *stageState, index uint3
 // unless this succeeded — a logged watermark whose underlying state is
 // not logged would recover as silent data loss.
 func (f *Infra) walSnapshot(conn ids.ConnectionID, markerTS ids.Timestamp, upTo ids.RequestNum, state []byte) bool {
-	f.walAppend(wal.Record{Type: wal.RecSnapshot, Snap: &wal.SnapshotRecord{
+	f.wal.Add(wal.Record{Type: wal.RecSnapshot, Snap: &wal.SnapshotRecord{
 		Conn:     conn,
 		MarkerTS: markerTS,
 		UpTo:     upTo,
 		State:    state,
 	}})
-	return f.flush()
+	return f.wal.Flush() == nil
 }
 
 // Recovered summarizes what RecoverFromWAL rebuilt.
@@ -533,7 +444,7 @@ func (f *Infra) RecoverFromWAL(records []wal.Record) Recovered {
 		sg.stage[conn] = st
 		trace.Count("ftcorba.wal_staged_chunks", uint64(len(st.chunks)))
 	}
-	f.flush() // the watermark marks of the stages completed above
+	f.wal.Flush() // the watermark marks of the stages completed above
 	f.stats.WALRecoveredOps += uint64(out.Ops)
 	trace.Count("ftcorba.wal_recovered_ops", uint64(out.Ops))
 	if out.Replayed > 0 {

@@ -2,13 +2,14 @@ package ftcorba
 
 import (
 	"ftmp/internal/ids"
+	"ftmp/internal/wal"
 )
 
 // LogTail and RideAlongMax expose the in-memory log bound and the
 // ride-along bound to the tests.
 const (
 	LogTail      = logTail
-	RideAlongMax = rideAlongMax
+	RideAlongMax = wal.RideAlongMax
 )
 
 // WALSnapshot exposes walSnapshot, outside a burst or (inBurst) inside

@@ -143,18 +143,11 @@ type Infra struct {
 	FaultHook func(group ids.GroupID, convicted ids.Membership)
 	// fragments holds in-progress reassemblies (see fragment.go).
 	fragments map[fragKey]*fragState
-	// wal, when attached, mirrors the log, the duplicate filters and the
-	// membership epochs to stable storage (see durable.go).
-	wal    *wal.Log
-	walErr func(error)
-	// walBatch gathers records until the next commit and staged the work
-	// that waits on it; releasing is true while flush runs staged work and
-	// rideUntil is when records nothing waits on stop riding along
-	// (durable.go, "Commit points").
-	walBatch  []wal.Record
-	staged    []func()
-	releasing bool
-	rideUntil int64
+	// wal gathers the records mirroring the log, the duplicate filters
+	// and the membership epochs, and stages the work that waits on them
+	// (durable.go, "Commit points"). Until AttachWAL gives it a log it
+	// writes nothing and only keeps the order.
+	wal *wal.SyncBatch
 	// epochs caches the last installed membership per group so WAL
 	// compaction can retain it (see checkpoint.go).
 	epochs map[ids.GroupID]wal.EpochRecord
@@ -182,8 +175,9 @@ func New(self ids.ProcessorID, domain ids.DomainID, node *core.Node) *Infra {
 		replied:      newDupFilter(),
 		pending:      make(map[callKey]*pendingCall),
 		logs:         make(map[ids.ConnectionID][]LogEntry),
+		wal:          new(wal.SyncBatch),
 	}
-	node.OnBurstEnd(f.endBurst)
+	node.OnBurstEnd(f.wal.EndBurst)
 	return f
 }
 
@@ -287,14 +281,14 @@ func (f *Infra) OnDeliver(d core.Delivery, now int64) {
 	if d.Conn.IsZero() || len(d.Payload) == 0 {
 		return // not an infrastructure-managed message
 	}
-	if f.releasing {
+	if f.wal.Releasing() {
 		// The node delivered from inside released work — our own Reply's
 		// multicast can make the next request deliverable. It takes its turn
 		// behind everything delivered before it, whole: what it marks must
 		// not show to a control operation ordered ahead of it. The buffer is
 		// the deliverer's again once this returns.
 		d.Payload = bytes.Clone(d.Payload)
-		f.stage(func() { f.deliver(d, now) })
+		f.wal.Stage(func() { f.deliver(d, now) })
 		return
 	}
 	f.deliver(d, now)
@@ -349,7 +343,7 @@ func (f *Infra) onRequest(now int64, d core.Delivery, msg giop.Message) {
 		control = f.onSetDelta
 	}
 	if control != nil {
-		f.barrier(func() { control(now, d, req) })
+		f.wal.Barrier(func() { control(now, d, req) })
 		return
 	}
 	f.appendLog(d, true)
@@ -374,7 +368,7 @@ func (f *Infra) dispatch(now int64, d core.Delivery, sg *served, req *giop.Reque
 	f.walMark(wal.MarkProcessed, d.Conn, d.RequestNum)
 	// Commit point: the request and its processed mark are durable before
 	// the servant runs and before its Reply can reach anyone.
-	f.stage(func() { f.execute(now, d, sg, req) })
+	f.wal.Stage(func() { f.execute(now, d, sg, req) })
 }
 
 // execute is dispatch's staged half: the servant's run and its Reply.
@@ -428,7 +422,7 @@ func (f *Infra) onReply(d core.Delivery, msg giop.Message) {
 	f.stats.RepliesDelivered++
 	reply := msg.Reply
 	// Commit point: durable before the caller sees the result.
-	f.stage(func() {
+	f.wal.Stage(func() {
 		switch reply.Status {
 		case giop.NoException:
 			pc.cb(reply.Body, nil)

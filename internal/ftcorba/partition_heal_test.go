@@ -8,8 +8,10 @@ import (
 	"ftmp/internal/core"
 	"ftmp/internal/harness"
 	"ftmp/internal/ids"
+	"ftmp/internal/runtime"
 	"ftmp/internal/simnet"
 	"ftmp/internal/trace"
+	"ftmp/internal/wal"
 )
 
 // The split-brain regression: with primary-partition membership enabled,
@@ -65,6 +67,13 @@ func TestPartitionWedgeHealConvergence(t *testing.T) {
 	}
 
 	w := newPartitionWorld(t, 211, servers, clients)
+	// Replica 3, the one to be wedged, logs to a WAL.
+	fs := newSyncFS()
+	l, _, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.infras[3].AttachWAL(l, func(err error) { t.Errorf("replica 3 wal: %v", err) })
 	w.connect(t, 4, clients)
 	g := w.c.Host(4).Node.ConnectionState(conn).Group
 
@@ -96,6 +105,10 @@ func TestPartitionWedgeHealConvergence(t *testing.T) {
 	if err := w.c.Host(3).Node.Multicast(int64(w.c.Net.Now()), g, conn, 999, []byte("x")); !errors.Is(err, core.ErrWedged) {
 		t.Fatalf("Multicast from wedged minority = %v, want ErrWedged", err)
 	}
+	// Its log holds the wedge point: a crash now recovers it as wedged.
+	if _, wedged := runtime.RecoverReplay(fs.syncedRecords(t)).Wedged[g]; !wedged {
+		t.Error("the wedged replica's log does not hold its wedge point")
+	}
 	minorityApplied := w.accounts[3].applied
 	w.deposits(t, 4, 10) // the primary component commits through the partition
 	if w.accounts[3].applied != minorityApplied {
@@ -119,6 +132,11 @@ func TestPartitionWedgeHealConvergence(t *testing.T) {
 		t.Fatalf("heal did not converge: majority=%v minority=%v joining=%v",
 			w.c.Host(1).Node.Members(g), w.c.Host(3).Node.Members(g),
 			w.infras[3].Joining(serverOG))
+	}
+
+	// The view it rejoined with is logged after the wedge point and clears it.
+	if _, wedged := runtime.RecoverReplay(fs.syncedRecords(t)).Wedged[g]; wedged {
+		t.Error("the healed replica's log still recovers it as wedged")
 	}
 
 	// Phase 4: post-heal traffic reaches all three replicas.

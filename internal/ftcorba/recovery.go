@@ -5,6 +5,7 @@ import (
 	"ftmp/internal/ids"
 	"ftmp/internal/orb"
 	"ftmp/internal/trace"
+	"ftmp/internal/wal"
 	"ftmp/internal/wire"
 )
 
@@ -45,16 +46,22 @@ import (
 // joiner's resume ack. Wire it to core.Callbacks.ViewChange alongside
 // OnDeliver; leaving it unwired keeps the manual AddReplica workflow.
 func (f *Infra) OnViewChange(v core.ViewChange, now int64) {
-	f.barrier(func() { f.onViewChange(v, now) })
+	f.wal.Barrier(func() { f.onViewChange(v, now) })
 	f.endEntry()
 }
 
 func (f *Infra) onViewChange(v core.ViewChange, now int64) {
 	// Every installed view is a durable membership epoch: cold start
 	// recreates the group at the last logged one (core.CreateGroupAt).
-	// A wedge is NOT an installed view — the runtime's executor logs the
-	// wedge point instead, and logging an epoch here would clear it.
+	// A wedge is NOT an installed view: the wedge point is logged instead,
+	// and the next installed epoch clears it (runtime.RecoverReplay).
 	if v.Reason == core.ViewWedge {
+		f.wal.Add(wal.Record{Type: wal.RecWedge, Wedge: &wal.WedgeRecord{
+			Group:   v.Group,
+			Epoch:   v.Epoch,
+			ViewTS:  v.ViewTS,
+			Members: v.Members.Clone(),
+		}})
 		return
 	}
 	if v.Reason == core.ViewHeal {

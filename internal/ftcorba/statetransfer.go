@@ -148,7 +148,7 @@ func (f *Infra) sendControl(now int64, conn ids.ConnectionID, og ids.ObjectGroup
 // answer rather than going through ConnectionState.
 func (f *Infra) sendControlOn(now int64, group ids.GroupID, conn ids.ConnectionID, og ids.ObjectGroupID, op string, body []byte) error {
 	// Commit point: the message may state what the gathered records justify.
-	f.flush()
+	f.wal.Flush()
 	key, _ := f.servedObjectKeyFor(og)
 	msg := giop.Message{Type: giop.MsgRequest, Request: &giop.Request{
 		RequestID:        0,

@@ -1,6 +1,7 @@
 package runtime_test
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -125,5 +126,32 @@ func TestLoopDeclaresOneBurstPerTurn(t *testing.T) {
 	}
 	if got.outside != 0 || got.total < len(got.fed) {
 		t.Errorf("%d of %d hook calls ran with no burst open", got.outside, got.total)
+	}
+}
+
+// Without a WAL an upcall on the loop is a direct call inside the turn
+// that emitted it: a delivery that a received datagram causes runs while
+// the node's burst is still open, so a host that commits once per burst
+// (the CORBA infrastructure) gathers it into that burst's commit.
+func TestDeliverRunsInsideTheBurstWithoutAWAL(t *testing.T) {
+	var outside atomic.Int64
+	nodes := newPipeNodes(t, 2, pipeSpec{hook: func(n *pnode, _ core.Delivery) {
+		if n.p == 1 && !n.r.Node.InBurst() {
+			outside.Add(1)
+		}
+	}})
+	const msgs = 20
+	for i := 0; i < msgs; i++ {
+		nodes[1].r.Do(func(nd *core.Node, now int64) {
+			if err := nd.Multicast(now, grp, ids.ConnectionID{}, 0, []byte(fmt.Sprintf("from-P2-%02d", i))); err != nil {
+				t.Errorf("multicast: %v", err)
+			}
+		})
+	}
+	if !waitFor(t, 10*time.Second, func() bool { return len(nodes[0].delivered()) >= msgs }) {
+		t.Fatalf("P1 delivered %d/%d", len(nodes[0].delivered()), msgs)
+	}
+	if n := outside.Load(); n != 0 {
+		t.Errorf("%d of P1's deliveries ran outside the burst that caused them", n)
 	}
 }

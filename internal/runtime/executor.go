@@ -12,28 +12,25 @@ import (
 
 // executor runs application upcalls (deliveries, view changes, fault
 // reports) in exactly the order the core emitted them, and owns the
-// write-ahead log: for every chunk of upcalls it commits the records
-// they imply (wal.SyncBatch: one fsync per chunk under SyncAlways) and
-// only then invokes the application callbacks, so a record is durable
-// by the time the application observes the event.
+// write-ahead log through a wal.SyncBatch: one flush per chunk commits
+// the records its upcalls imply (one fsync under SyncAlways) before
+// releasing their callbacks, so a record is durable by the time the
+// application observes the event.
 //
-// At depth 0 a chunk is one upcall, processed inline on the goroutine
-// that enqueues it — the event loop. At depth > 0 the loop only
-// enqueues; one executor goroutine dequeues chunks of up to chunk
-// upcalls. That queue is unbounded on purpose: an enqueue that blocked
-// the loop could deadlock with an application callback that calls
-// Runner.Do. Backpressure is instead a soft watermark (backlogged):
-// when the backlog passes depth, the loop pauses draining the receive
-// ring — ingestion stalls, the loop itself stays live for ticks,
-// retransmissions and operations.
+// At depth 0 the chunk is the event loop's turn, flushed when the turn
+// ends (endTurn); without a log an upcall there is a direct call. At
+// depth > 0 the loop only enqueues; one executor goroutine dequeues
+// chunks of up to chunk upcalls. That queue is unbounded on purpose: an
+// enqueue that blocked the loop could deadlock with an application
+// callback that calls Runner.Do. Backpressure is instead a soft watermark
+// (backlogged): when the backlog passes depth, the loop pauses draining
+// the receive ring — ingestion stalls, the loop itself stays live for
+// ticks, retransmissions and operations.
 type executor struct {
 	cb    core.Callbacks // the application's; only the three upcalls are used
-	sb    *wal.SyncBatch // nil when not durable
-	onErr func(error)
-	chunk int // max upcalls (and WAL records) per group commit
-	depth int // backlog watermark that pauses ingestion; 0: inline
-
-	recs []wal.Record // commit scratch
+	wal   *wal.SyncBatch // its log is nil when not durable
+	chunk int            // max upcalls per group commit at depth > 0
+	depth int            // backlog watermark that pauses ingestion; 0: on the loop
 
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -69,13 +66,10 @@ type upcall struct {
 func newExecutor(cb core.Callbacks, w *wal.Log, chunk, depth int, onErr func(error)) *executor {
 	e := &executor{
 		cb:    cb,
-		onErr: onErr,
+		wal:   &wal.SyncBatch{Log: w, OnError: onErr},
 		chunk: chunk,
 		depth: depth,
 		done:  make(chan struct{}),
-	}
-	if w != nil {
-		e.sb = wal.NewSyncBatch(w)
 	}
 	e.cond = sync.NewCond(&e.mu)
 	if depth > 0 {
@@ -87,11 +81,11 @@ func newExecutor(cb core.Callbacks, w *wal.Log, chunk, depth int, onErr func(err
 }
 
 // enqueue hands one upcall to the executor. Never blocks on the queue;
-// at depth 0 it is loop-only and returns when the upcall has run. Once
-// close has returned (only the Runner closes, after the loop has
-// stopped) an exec is answered on the caller's goroutine, one caller at
-// a time, and anything else is dropped — the queue has fully drained by
-// then, so nothing is lost.
+// at depth 0 it is loop-only and, without a log, returns when the upcall
+// has run. Once close has returned (only the Runner closes, after the
+// loop has stopped) an exec is answered on the caller's goroutine, one
+// caller at a time, and anything else is dropped — the queue has fully
+// drained by then, so nothing is lost.
 func (e *executor) enqueue(u upcall) {
 	e.mu.Lock()
 	switch {
@@ -104,7 +98,12 @@ func (e *executor) enqueue(u upcall) {
 		// Unlocked while it runs: a callback may re-enter the core and
 		// make it emit (and so enqueue) further upcalls.
 		e.mu.Unlock()
-		e.process([]upcall{u})
+		if e.wal.Log == nil {
+			e.call(&u)
+		} else {
+			staged := u // until the turn ends (endTurn)
+			e.stage(&staged)
+		}
 	default:
 		e.q = append(e.q, u)
 		e.qlen.Add(1)
@@ -118,17 +117,11 @@ func (e *executor) backlogged() bool {
 	return e.depth > 0 && int(e.qlen.Load()) >= e.depth
 }
 
-// syncNow forces everything committed so far to stable storage.
-func (e *executor) syncNow() error {
-	if e.sb == nil {
-		return nil
-	}
-	return e.sb.Sync()
-}
-
-func (e *executor) report(err error) {
-	if err != nil && e.onErr != nil {
-		e.onErr(err)
+// endTurn ends the loop's turn. At depth 0 that is the chunk: its records
+// are committed here and its callbacks released.
+func (e *executor) endTurn() {
+	if e.depth == 0 {
+		e.wal.Flush()
 	}
 }
 
@@ -164,58 +157,60 @@ func (e *executor) run() {
 	}
 }
 
-// process is the one upcall path: records, commit, callbacks.
+// process is one chunk: every upcall staged, one flush.
 func (e *executor) process(chunk []upcall) {
-	// Write-ahead, amortized: every record this chunk implies becomes
-	// durable in one group commit before any of its callbacks run.
-	if e.sb != nil {
-		recs := e.recs[:0]
-		for _, u := range chunk {
-			switch u.kind {
-			case upDeliver:
-				if u.d.OrderSeq > 0 {
-					recs = append(recs, seqRecord(u.d))
-				}
-				recs = append(recs, deliverRecord(u.d))
-			case upView:
-				if rec, ok := viewRecord(u.v); ok {
-					recs = append(recs, rec)
-				}
-			}
-		}
-		if len(recs) > 0 {
-			// Report loudly, still deliver.
-			e.report(e.sb.Commit(recs...))
-		}
-		e.recs = recs
-	}
-
 	for i := range chunk {
-		u := &chunk[i]
-		switch u.kind {
-		case upDeliver:
-			trace.Inc("runtime.exec_deliveries")
-			if e.cb.Deliver != nil {
-				e.cb.Deliver(u.d)
-			}
-		case upView:
-			if e.cb.ViewChange != nil {
-				e.cb.ViewChange(u.v)
-			}
-		case upFault:
-			if e.cb.FaultReport != nil {
-				e.cb.FaultReport(u.group, u.convicted)
-			}
-		case upExec:
-			// Drain pending group commits first: exec (WAL compaction)
-			// needs the log quiescent and every prior record durable.
-			err := e.syncNow()
-			if err == nil {
-				err = u.exec()
-			}
-			u.reply <- err
+		e.stage(&chunk[i])
+	}
+	e.wal.Flush()
+	clear(chunk) // release the payloads
+}
+
+// stage gathers the records u implies and stages its callback behind
+// them. An exec is a barrier: it runs once everything before it is
+// committed and released, ahead of the records of what follows it.
+func (e *executor) stage(u *upcall) {
+	switch u.kind {
+	case upDeliver:
+		if u.d.OrderSeq > 0 {
+			e.wal.Add(seqRecord(u.d))
 		}
-		*u = upcall{}
+		e.wal.Add(deliverRecord(u.d))
+	case upView:
+		if rec, ok := viewRecord(u.v); ok {
+			e.wal.Add(rec)
+		}
+	case upExec:
+		e.wal.Barrier(func() { e.call(u) })
+		return
+	}
+	e.wal.Stage(func() { e.call(u) })
+}
+
+// call runs u's callback.
+func (e *executor) call(u *upcall) {
+	switch u.kind {
+	case upDeliver:
+		trace.Inc("runtime.exec_deliveries")
+		if e.cb.Deliver != nil {
+			e.cb.Deliver(u.d)
+		}
+	case upView:
+		if e.cb.ViewChange != nil {
+			e.cb.ViewChange(u.v)
+		}
+	case upFault:
+		if e.cb.FaultReport != nil {
+			e.cb.FaultReport(u.group, u.convicted)
+		}
+	case upExec:
+		// exec (WAL compaction) needs the log quiescent and every prior
+		// record durable.
+		err := e.wal.Sync()
+		if err == nil {
+			err = u.exec()
+		}
+		u.reply <- err
 	}
 }
 
@@ -228,7 +223,9 @@ func (e *executor) close() {
 	e.cond.Signal()
 	e.mu.Unlock()
 	<-e.done
-	e.report(e.syncNow())
+	if err := e.wal.Sync(); err != nil && e.wal.OnError != nil {
+		e.wal.OnError(err)
+	}
 }
 
 // deliverRecord maps an ordered delivery to its WAL record.

@@ -6,6 +6,8 @@ package runtime_test
 // to be raced (go test -race).
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -311,12 +313,13 @@ func TestPipelineStressOverflowAndShutdown(t *testing.T) {
 }
 
 // TestPipelineDurableGroupCommit checks the write-ahead promise end to
-// end at both executor widths — inline on the loop (depth 0) and on its
-// own goroutine: WALSync and WALExec reach the log before and after
-// Close, and with its unsynced bytes thrown away the log still holds
-// every delivery exactly once in delivery order and the installed view,
-// with no WAL error reported. Inline that costs an fsync per delivery; the
-// executor makes fewer than one per delivery out of a burst.
+// end at both executor widths — on the loop (depth 0) and on its own
+// goroutine: WALSync and WALExec reach the log before and after Close,
+// and with its unsynced bytes thrown away the log still holds every
+// delivery exactly once in delivery order and the installed view, with no
+// WAL error reported. On the loop the one turn that emits every delivery
+// costs one fsync; the executor makes fewer than one per delivery out of
+// a burst.
 func TestPipelineDurableGroupCommit(t *testing.T) {
 	for _, depth := range []int{0, 1024} {
 		t.Run(fmt.Sprintf("depth%d", depth), func(t *testing.T) {
@@ -339,16 +342,19 @@ func TestPipelineDurableGroupCommit(t *testing.T) {
 			if depth > 0 {
 				spec.hook = func(*pnode, core.Delivery) { <-burst }
 			}
-			commits, fsyncs := trace.Counter("wal.group_commits"), trace.Counter("wal.fsyncs")
+			commits := trace.Counter("wal.group_commits")
 			node := newPipeNodes(t, 1, spec)[0]
+			fsyncs := trace.Counter("wal.fsyncs")
+			// A group of one delivers its own multicasts at once: every
+			// delivery is emitted in this one turn.
 			const msgs = 40
-			for i := 0; i < msgs; i++ {
-				node.r.Do(func(nd *core.Node, now int64) {
+			node.r.Do(func(nd *core.Node, now int64) {
+				for i := 0; i < msgs; i++ {
 					if err := nd.Multicast(now, grp, ids.ConnectionID{}, 0, []byte(fmt.Sprintf("durable-%03d", i))); err != nil {
 						t.Errorf("multicast: %v", err)
 					}
-				})
-			}
+				}
+			})
 			close(burst)
 			if !waitFor(t, 10*time.Second, func() bool { return len(node.delivered()) >= msgs }) {
 				t.Fatalf("delivered %d/%d", len(node.delivered()), msgs)
@@ -359,10 +365,10 @@ func TestPipelineDurableGroupCommit(t *testing.T) {
 			if err := node.r.WALSync(); err != nil {
 				t.Fatalf("WALSync: %v", err)
 			}
-			// Inline, every upcall is its own commit and so its own fsync;
-			// the executor amortizes one fsync over each chunk of the burst.
-			if made := trace.Counter("wal.fsyncs") - fsyncs; depth == 0 && made < msgs {
-				t.Errorf("%d fsyncs for %d deliveries, want one commit per upcall", made, msgs)
+			// On the loop the turn is the chunk: one commit, one fsync; the
+			// executor amortizes one fsync over each chunk of the burst.
+			if made := trace.Counter("wal.fsyncs") - fsyncs; depth == 0 && made != 1 {
+				t.Errorf("%d fsyncs for a turn of %d deliveries, want 1", made, msgs)
 			} else if depth > 0 && made >= msgs {
 				t.Errorf("%d fsyncs for a burst of %d deliveries: no group commit", made, msgs)
 			}
@@ -413,5 +419,131 @@ func TestPipelineDurableGroupCommit(t *testing.T) {
 				t.Error("no group commits recorded")
 			}
 		})
+	}
+}
+
+// syncedFS is a wal.FS in memory that keeps how much of its one segment
+// a returned Sync covers, so an upcall can check that its own record is
+// on stable storage.
+type syncedFS struct {
+	*wal.MemFS
+	mu      sync.Mutex
+	written []byte
+	synced  int
+}
+
+type syncedFile struct {
+	wal.File
+	fs *syncedFS
+}
+
+func (fs *syncedFS) Create(name string) (wal.File, error) {
+	f, err := fs.MemFS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &syncedFile{File: f, fs: fs}, nil
+}
+
+func (f *syncedFile) Write(p []byte) (int, error) {
+	n, err := f.File.Write(p)
+	f.fs.mu.Lock()
+	f.fs.written = append(f.fs.written, p[:n]...)
+	f.fs.mu.Unlock()
+	return n, err
+}
+
+func (f *syncedFile) Sync() error {
+	err := f.File.Sync()
+	if err == nil {
+		f.fs.mu.Lock()
+		f.fs.synced = len(f.fs.written)
+		f.fs.mu.Unlock()
+	}
+	return err
+}
+
+// holds reports whether a record that match accepts is synced.
+func (fs *syncedFS) holds(match func(wal.Record) bool) bool {
+	fs.mu.Lock()
+	data := bytes.Clone(fs.written[:fs.synced])
+	fs.mu.Unlock()
+	s, err := wal.NewScanner(data)
+	if err != nil {
+		return false
+	}
+	for {
+		payload, ok := s.Next()
+		if !ok {
+			return false
+		}
+		if r, err := wal.DecodeRecord(payload); err == nil && match(r) {
+			return true
+		}
+	}
+}
+
+// An upcall's callback runs only once a Sync covering its record has
+// returned; when the Sync fails, the failure is reported and the
+// callbacks run all the same.
+func TestPipelineCallbacksFollowTheirSync(t *testing.T) {
+	for _, depth := range []int{0, 1024} {
+		for _, fail := range []bool{false, true} {
+			t.Run(fmt.Sprintf("depth%d/fail=%v", depth, fail), func(t *testing.T) {
+				fs := &syncedFS{MemFS: wal.NewMemFS()}
+				wlog, _, err := wal.Open(wal.Config{FS: fs, Policy: wal.SyncAlways})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fail {
+					fs.SyncErr = errors.New("disk gone")
+				}
+				var early, views, delivered, reported atomic.Int64
+				synced := func(match func(wal.Record) bool) {
+					if !fail && !fs.holds(match) {
+						early.Add(1)
+					}
+				}
+				cb := core.Callbacks{
+					Transmit: func(wire.MulticastAddr, []byte) {},
+					Deliver: func(d core.Delivery) {
+						synced(func(r wal.Record) bool { return r.Type == wal.RecOp && bytes.Equal(r.Op.Payload, d.Payload) })
+						delivered.Add(1)
+					},
+					ViewChange: func(v core.ViewChange) {
+						synced(func(r wal.Record) bool { return r.Type == wal.RecEpoch && r.Epoch.ViewTS == v.ViewTS })
+						views.Add(1)
+					},
+				}
+				r, err := runtime.New(core.DefaultConfig(1), cb, func(transport.Handler) (transport.Transport, error) {
+					return &handTransport{}, nil
+				}, runtime.Options{DeliveryDepth: depth, WAL: wlog, OnWALError: func(error) { reported.Add(1) }})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer r.Close()
+				const msgs = 20
+				r.Do(func(nd *core.Node, now int64) { nd.CreateGroup(now, grp, ids.NewMembership(1)) })
+				r.Do(func(nd *core.Node, now int64) {
+					for i := 0; i < msgs; i++ {
+						if err := nd.Multicast(now, grp, ids.ConnectionID{}, 0, []byte(fmt.Sprintf("synced-%02d", i))); err != nil {
+							t.Errorf("multicast: %v", err)
+						}
+					}
+				})
+				if err := r.WALSync(); (err != nil) != fail {
+					t.Errorf("WALSync = %v", err)
+				}
+				if views.Load() != 1 || delivered.Load() != msgs {
+					t.Errorf("%d view and %d delivery callbacks ran, want 1 and %d", views.Load(), delivered.Load(), msgs)
+				}
+				if n := early.Load(); n != 0 {
+					t.Errorf("%d callbacks ran before their record was synced", n)
+				}
+				if n := reported.Load(); (n > 0) != fail {
+					t.Errorf("%d WAL errors reported", n)
+				}
+			})
+		}
 	}
 }

@@ -18,7 +18,7 @@
 //	      │                      │
 //	      │ Transmit             │ Deliver / ViewChange / FaultReport
 //	      ▼                      ▼
-//	   sender                 executor     DeliveryDepth 0: inline on the loop
+//	   sender                 executor     DeliveryDepth 0: on the loop
 //	      │  SendShards                    N: own goroutine, ingestion pauses at N queued
 //	      │  0: Send on the loop   │ records ─▶ WAL commit ─▶ callback
 //	      │  N: N FIFO shards      ▼
@@ -29,12 +29,18 @@
 // datagrams at every width, and is declared to the node as one burst
 // (core.Node.BeginBurst/EndBurst), as is each tick.
 //
-// The zero Options keep every upcall on the loop goroutine, so
-// application callbacks see the same single-threaded world the
-// simulator provides. Loop-affine hosts depend on that; the CORBA
-// infrastructure is one, and commits its own log once per burst from the
-// node's end-of-burst hook (ftcorba/durable.go, "Commit points"): the
-// loop sleeps in that Sync, and what queues meanwhile is the next burst.
+// The executor's write-ahead rule is wal.SyncBatch's, as the CORBA
+// infrastructure's is: records gathered, callbacks staged behind them, one
+// commit per chunk — at depth 0 with a WAL, per loop turn (a ring burst, a
+// tick or a Do).
+//
+// The zero Options keep every upcall on the loop goroutine, each a direct
+// call inside the turn that emitted it, so application callbacks see the
+// same single-threaded world the simulator provides. Loop-affine hosts
+// depend on that; the CORBA infrastructure is one, and commits its own
+// log once per burst from the node's end-of-burst hook
+// (ftcorba/durable.go, "Commit points"): the loop sleeps in that Sync,
+// and what queues meanwhile is the next burst.
 package runtime
 
 import (
@@ -109,16 +115,16 @@ type Options struct {
 	// reaches DeliveryDepth the loop pauses receive-ring ingestion (the
 	// loop itself stays live) until the application catches up.
 	// Application callbacks then run OFF the loop goroutine; they may
-	// still call Runner.Do. With 0 each upcall runs inline on the loop.
+	// still call Runner.Do. With 0 each upcall runs on the loop.
 	DeliveryDepth int
 	// WAL, when set, is written ahead by the executor at every depth:
-	// the records implied by one executor chunk (a single upcall at
-	// depth 0) are committed under the log's fsync policy, in one
-	// wal.SyncBatch commit, before any of the chunk's callbacks run.
-	// The Runner owns the log until Close; reach it through WALSync and
-	// WALExec only.
+	// the records implied by one executor chunk (at depth 0 the loop's
+	// turn: a ring burst, a tick or a Do) are committed under the log's
+	// fsync policy, in one wal.SyncBatch commit, before any of the chunk's
+	// callbacks run. The Runner owns the log until Close; reach it
+	// through WALSync and WALExec only.
 	WAL *wal.Log
-	// WALBatch caps upcalls per group commit (default 64).
+	// WALBatch caps upcalls per group commit at depth > 0 (default 64).
 	WALBatch int
 	// OnWALError hears WAL failures (may be nil). The event still
 	// reaches the application: availability is not sacrificed to a full
@@ -253,6 +259,7 @@ func (r *Runner) burst(tick bool) {
 		r.Node.Tick(r.Now())
 	}
 	r.Node.EndBurst(r.Now())
+	r.exec.endTurn()
 }
 
 // ingest feeds the core what the receive ring holds, up to rxBurstMax
@@ -301,12 +308,14 @@ func (r *Runner) ingest() {
 }
 
 // Do runs fn on the loop goroutine with the current time and waits for
-// it to finish. All Node method calls must go through Do.
+// it to finish — its turn, with what the executor runs on the loop at its
+// end. All Node method calls must go through Do.
 func (r *Runner) Do(fn func(node *core.Node, now int64)) {
 	ack := make(chan struct{})
 	select {
 	case r.ops <- func(now int64) {
 		fn(r.Node, now)
+		r.exec.endTurn()
 		close(ack)
 	}:
 	case <-r.stop:

@@ -2,19 +2,14 @@ package wal
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
+	"slices"
 	"testing"
-	"time"
 )
 
-// hookFS wraps an FS and intercepts per-file Sync: it counts every
-// fsync and can run a gate function first (which may block), modelling
-// the in-flight-fsync window group commit exists to exploit.
+// hookFS wraps an FS and counts the writes and fsyncs its files see.
 type hookFS struct {
 	FS
-	syncs atomic.Int64
-	gate  atomic.Pointer[func()]
+	writes, syncs int
 }
 
 type hookFile struct {
@@ -30,11 +25,13 @@ func (f *hookFS) Create(name string) (File, error) {
 	return &hookFile{File: h, fs: f}, nil
 }
 
+func (h *hookFile) Write(p []byte) (int, error) {
+	h.fs.writes++
+	return h.File.Write(p)
+}
+
 func (h *hookFile) Sync() error {
-	if g := h.fs.gate.Load(); g != nil {
-		(*g)()
-	}
-	h.fs.syncs.Add(1)
+	h.fs.syncs++
 	return h.File.Sync()
 }
 
@@ -59,7 +56,7 @@ func recoverAll(t *testing.T, fs FS) []Record {
 func TestAppendBatchSingleFsync(t *testing.T) {
 	fs := &hookFS{FS: NewMemFS()}
 	l := openBatchLog(t, fs, 1<<20)
-	base := fs.syncs.Load()
+	base := fs.syncs
 	var rs []Record
 	for i := 0; i < 10; i++ {
 		rs = append(rs, opRec(uint64(i+1), "batched"))
@@ -67,7 +64,7 @@ func TestAppendBatchSingleFsync(t *testing.T) {
 	if err := l.AppendBatch(rs); err != nil {
 		t.Fatalf("AppendBatch: %v", err)
 	}
-	if got := fs.syncs.Load() - base; got != 1 {
+	if got := fs.syncs - base; got != 1 {
 		t.Errorf("fsyncs for one 10-record batch = %d, want 1", got)
 	}
 	if err := l.Close(); err != nil {
@@ -134,86 +131,6 @@ func TestAppendBatchEncodeErrorNotSticky(t *testing.T) {
 	}
 }
 
-// TestSyncBatchCoalesces pins the group-commit property: commits that
-// arrive while a fsync is in flight all ride the next single fsync.
-func TestSyncBatchCoalesces(t *testing.T) {
-	fs := &hookFS{FS: NewMemFS()}
-	l := openBatchLog(t, fs, 1<<20)
-	b := NewSyncBatch(l)
-
-	// Arm a gate that blocks the next fsync until released.
-	block := make(chan struct{})
-	entered := make(chan struct{})
-	var once sync.Once
-	gate := func() {
-		once.Do(func() {
-			close(entered)
-			<-block
-		})
-	}
-	fs.gate.Store(&gate)
-
-	leaderDone := make(chan error, 1)
-	go func() { leaderDone <- b.Commit(opRec(1, "leader")) }()
-	<-entered // leader is inside its fsync
-
-	// Followers arrive during the in-flight fsync.
-	const followers = 8
-	var wg sync.WaitGroup
-	followerErrs := make([]error, followers)
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			followerErrs[i] = b.Commit(opRec(uint64(10+i), "follower"))
-		}(i)
-	}
-	// Wait until every follower's record is enqueued behind the leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		b.mu.Lock()
-		n := b.enqueued
-		b.mu.Unlock()
-		if n == followers+1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("followers never enqueued: %d of %d", n, followers+1)
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	base := fs.syncs.Load()
-	close(block)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader commit: %v", err)
-	}
-	wg.Wait()
-	for i, err := range followerErrs {
-		if err != nil {
-			t.Fatalf("follower %d: %v", i, err)
-		}
-	}
-	// The leader's fsync (in flight at base) plus exactly one group
-	// fsync covering all 8 followers.
-	if got := fs.syncs.Load() - base; got != 2 {
-		t.Errorf("fsyncs after release = %d, want 2 (leader + one group commit)", got)
-	}
-	if err := b.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	recs := recoverAll(t, fs)
-	if len(recs) != followers+1 {
-		t.Fatalf("recovered %d records, want %d", len(recs), followers+1)
-	}
-	if recs[0].Op == nil || recs[0].Op.ReqNum != 1 {
-		t.Fatalf("leader record not first: %+v", recs[0])
-	}
-}
-
 func TestSyncBatchStickyError(t *testing.T) {
 	mem := NewMemFS()
 	l := openBatchLog(t, mem, 1<<20)
@@ -230,60 +147,152 @@ func TestSyncBatchStickyError(t *testing.T) {
 	if err := b.Commit(opRec(3, "still-dead")); !errors.Is(err, boom) {
 		t.Fatalf("sticky error not sticky: %v", err)
 	}
-	if err := b.Err(); !errors.Is(err, boom) {
+	if err := l.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err() = %v, want %v", err, boom)
 	}
 }
 
-// TestSyncBatchHammer drives many concurrent committers through a slow
-// disk and checks both safety (every record durable, none duplicated)
-// and the point of the exercise: far fewer fsyncs than records.
-func TestSyncBatchHammer(t *testing.T) {
+// syncBatchOn returns a batch in front of a fresh fsync=always log whose
+// writes and fsyncs are counted from zero.
+func syncBatchOn(t *testing.T) (*SyncBatch, *hookFS) {
+	t.Helper()
 	fs := &hookFS{FS: NewMemFS()}
-	slow := func() { time.Sleep(200 * time.Microsecond) }
-	fs.gate.Store(&slow)
-	l := openBatchLog(t, fs, 1<<20)
-	b := NewSyncBatch(l)
+	b := NewSyncBatch(openBatchLog(t, fs, 1<<20))
+	fs.writes, fs.syncs = 0, 0
+	return b, fs
+}
 
-	const workers, per = 8, 25
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				if err := b.Commit(opRec(uint64(w*1000+i), "hammer")); err != nil {
-					t.Errorf("worker %d commit %d: %v", w, i, err)
-					return
-				}
-			}
-		}(w)
+func TestSyncBatchCommitIsOneWriteOneSync(t *testing.T) {
+	b, fs := syncBatchOn(t)
+	var rs []Record
+	for i := 1; i <= 10; i++ {
+		rs = append(rs, opRec(uint64(i), "batched"))
 	}
-	wg.Wait()
+	if err := b.Commit(rs...); err != nil {
+		t.Fatalf("Commit: %v", err)
+	}
+	if fs.writes != 1 || fs.syncs != 1 {
+		t.Errorf("Commit of 10 records made %d writes and %d fsyncs, want 1 and 1", fs.writes, fs.syncs)
+	}
+	if recs := recoverAll(t, fs); len(recs) != 10 {
+		t.Errorf("recovered %d records, want 10", len(recs))
+	}
+}
+
+// Staged work runs first in, first out, each piece behind the commit of
+// the records gathered before it; what a release gathers and stages is
+// committed behind a commit of its own and runs after everything staged
+// before it.
+func TestSyncBatchReleasesInOrderBehindItsCommit(t *testing.T) {
+	b, fs := syncBatchOn(t)
+	var ran, syncedAt []int
+	work := func(i int) func() {
+		return func() { ran, syncedAt = append(ran, i), append(syncedAt, fs.syncs) }
+	}
+	for i := 1; i <= 3; i++ {
+		b.Add(opRec(uint64(i), "gathered"))
+		b.Stage(work(i))
+		if i == 1 {
+			b.Stage(func() {
+				b.Add(opRec(4, "gathered during the release"))
+				b.Stage(work(4))
+			})
+		}
+	}
+	if len(ran) != 0 || fs.syncs != 0 {
+		t.Fatalf("before Flush: %v ran after %d fsyncs, want nothing", ran, fs.syncs)
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(ran, []int{1, 2, 3, 4}) || !slices.Equal(syncedAt, []int{1, 1, 1, 2}) {
+		t.Errorf("ran %v after %v fsyncs, want [1 2 3 4] after [1 1 1 2]", ran, syncedAt)
+	}
+}
+
+// A barrier outside a release runs at once, behind everything staged
+// before it; one met inside a release queues behind what is already
+// staged.
+func TestSyncBatchBarrierTakesItsPlace(t *testing.T) {
+	b, fs := syncBatchOn(t)
+	var ran []string
+	b.Add(opRec(1, "gathered"))
+	b.Stage(func() {
+		ran = append(ran, "w1")
+		b.Barrier(func() { ran = append(ran, "inner") })
+	})
+	b.Stage(func() { ran = append(ran, "w2") })
+	b.Barrier(func() {
+		if fs.syncs != 1 {
+			t.Errorf("the barrier ran after %d fsyncs, want 1", fs.syncs)
+		}
+		ran = append(ran, "barrier")
+	})
+	if want := []string{"w1", "w2", "barrier", "inner"}; !slices.Equal(ran, want) {
+		t.Errorf("ran %v, want %v", ran, want)
+	}
+}
+
+// Records nothing waits on ride along past a burst's end, RideAlongMax at
+// most; staged work makes the burst's end commit at once.
+func TestSyncBatchRideAlongBound(t *testing.T) {
+	b, fs := syncBatchOn(t)
+	b.EndBurst(0)
+	b.Add(opRec(1, "rides along"))
+	b.EndBurst(1)
+	b.EndBurst(RideAlongMax)
+	if fs.syncs != 0 {
+		t.Fatalf("%d fsyncs before the record had ridden along for the bound", fs.syncs)
+	}
+	b.EndBurst(1 + RideAlongMax)
+	if fs.syncs != 1 {
+		t.Fatalf("%d fsyncs once the bound passed, want 1", fs.syncs)
+	}
+	ran := false
+	b.Add(opRec(2, "waited on"))
+	b.Stage(func() { ran = true })
+	b.EndBurst(2 + RideAlongMax)
+	if fs.syncs != 2 || !ran {
+		t.Errorf("staged work: %d fsyncs in all and ran=%v, want 2 and true", fs.syncs, ran)
+	}
+}
+
+// A failed commit is reported and returned, and the work staged behind it
+// is released all the same.
+func TestSyncBatchFailedCommitStillReleases(t *testing.T) {
+	mem := NewMemFS()
+	b := NewSyncBatch(openBatchLog(t, mem, 1<<20))
+	var reported []error
+	b.OnError = func(err error) { reported = append(reported, err) }
+	boom := errors.New("disk gone")
+	mem.SyncErr = boom
+	ran := false
+	b.Add(opRec(1, "doomed"))
+	b.Stage(func() { ran = true })
+	if err := b.Flush(); !errors.Is(err, boom) {
+		t.Errorf("Flush = %v, want %v", err, boom)
+	}
+	if !ran || len(reported) != 1 || !errors.Is(reported[0], boom) {
+		t.Errorf("ran=%v, reported %v; want true and the one failure", ran, reported)
+	}
+}
+
+func TestSyncBatchWithoutLogOnlyOrders(t *testing.T) {
+	b := NewSyncBatch(nil)
+	var ran []int
+	b.Add(opRec(1, "dropped"))
+	b.Stage(func() {
+		ran = append(ran, 1)
+		b.Stage(func() { ran = append(ran, 3) })
+	})
+	b.Stage(func() { ran = append(ran, 2) })
+	if err := b.Commit(opRec(2, "dropped")); err != nil {
+		t.Fatalf("Commit without a log: %v", err)
+	}
+	if !slices.Equal(ran, []int{1, 2, 3}) {
+		t.Errorf("ran %v, want [1 2 3]", ran)
+	}
 	if err := b.Sync(); err != nil {
-		t.Fatalf("sync: %v", err)
+		t.Errorf("Sync without a log: %v", err)
 	}
-	syncs := fs.syncs.Load()
-	if err := l.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-	recs := recoverAll(t, fs)
-	const total = workers * per
-	if len(recs) != total {
-		t.Fatalf("recovered %d records, want %d", len(recs), total)
-	}
-	seen := make(map[uint64]bool, total)
-	for _, r := range recs {
-		if r.Op == nil {
-			t.Fatalf("unexpected record %+v", r)
-		}
-		if seen[uint64(r.Op.ReqNum)] {
-			t.Fatalf("duplicate record %d", r.Op.ReqNum)
-		}
-		seen[uint64(r.Op.ReqNum)] = true
-	}
-	if syncs >= total {
-		t.Errorf("group commit never coalesced: %d fsyncs for %d records", syncs, total)
-	}
-	t.Logf("%d records in %d fsyncs", total, syncs)
 }
