@@ -22,10 +22,18 @@
 // resumes from the last installed membership:
 //
 //	ftmpd -id 1 ... -wal-dir /var/lib/ftmp/node1 -fsync always
+//
+// With -serve or -iiop the processor runs the paper's CORBA path instead
+// of the line bridge: -serve replicates a key-value servant on the
+// processors named in -members, and -iiop hosts the IIOP gateway that
+// opens the logical connection to them. A replica that crashed restarts
+// under a fresh -id on its old -listen and -wal-dir: it replays its log
+// and catches up from the survivors by delta.
 package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -39,18 +47,21 @@ import (
 	"time"
 
 	"ftmp/internal/core"
+	"ftmp/internal/host"
 	"ftmp/internal/ids"
+	"ftmp/internal/kv"
 	"ftmp/internal/pgmp"
 	"ftmp/internal/runtime"
 	"ftmp/internal/trace"
 	"ftmp/internal/transport"
 	"ftmp/internal/wal"
-	"ftmp/internal/wire"
 )
 
-// mmsgVector is the sendmmsg/recvmmsg vector size, at the transport
-// and in the runtime's send shards.
-const mmsgVector = 32
+// kvConn is the CORBA path's logical connection: the gateway's client
+// object group to the replicated key-value store.
+var kvConn = ids.ConnectionID{ClientDomain: 1, ClientGroup: 10, ServerDomain: 1, ServerGroup: 20}
+
+const kvKey = "kv"
 
 func main() {
 	var (
@@ -75,8 +86,13 @@ func main() {
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		compactEvery = flag.Duration("compact-every", 0,
 			"with -wal-dir: checkpoint and truncate the WAL at the group's stability cut on this interval (0: never). Bounds restart replay to the post-checkpoint suffix")
+		serve = flag.Bool("serve", false, "CORBA path: replicate the key-value servant of the processors named in -members")
+		iiop  = flag.String("iiop", "", "CORBA path: host the IIOP gateway on this address, opening the connection to the -members replicas")
 	)
 	flag.Parse()
+	if *serve && *iiop != "" {
+		fatal("-serve and -iiop are exclusive: a processor is a replica or the gateway")
+	}
 
 	if *pprofAddr != "" {
 		go func() {
@@ -122,32 +138,15 @@ func main() {
 
 	out := bufio.NewWriter(os.Stdout)
 	defer out.Flush()
-	cb := core.Callbacks{
-		Transmit: func(wire.MulticastAddr, []byte) {}, // installed by the runner
-		Deliver: func(d core.Delivery) {
-			fmt.Fprintf(out, "[%v] %s\n", d.Source, d.Payload)
-			out.Flush()
-		},
-		ViewChange: func(v core.ViewChange) {
-			if !*quietFlag {
-				fmt.Fprintf(out, "-- view %v: members %v (%v)\n", v.ViewTS, v.Members, v.Reason)
-				out.Flush()
-			}
-		},
-		FaultReport: func(g ids.GroupID, convicted ids.Membership) {
-			if !*quietFlag {
-				fmt.Fprintf(out, "-- fault: %v convicted in %v\n", convicted, g)
-				out.Flush()
-			}
-		},
+	logf := func(format string, args ...any) {
+		if !*quietFlag || !strings.HasPrefix(format, "wal: compacted") {
+			fmt.Fprintf(os.Stderr, "ftmpd: "+format+"\n", args...)
+		}
 	}
-
+	hc := host.Config{CompactEvery: *compactEvery, Logf: logf}
 	// Durability: with -wal-dir every ordered delivery and installed
-	// view is appended (write-ahead) to a segmented log; after a crash
-	// the replayed history is printed and the group membership resumes
-	// from the last logged epoch instead of the static bootstrap.
-	var log *wal.Log
-	var replay runtime.Replay
+	// view is appended (write-ahead) to a segmented log, and a restart
+	// recovers from it.
 	if *walDir != "" {
 		pol, err := wal.ParsePolicy(*fsyncPol)
 		if err != nil {
@@ -157,55 +156,57 @@ func main() {
 		if err != nil {
 			fatal("wal: %v", err)
 		}
-		l, rec, err := wal.Open(wal.Config{
-			FS:     dfs,
-			Policy: pol,
-			Now:    func() int64 { return time.Now().UnixNano() },
-		})
-		if err != nil {
-			fatal("wal: %v", err)
+		hc.FS, hc.Policy = dfs, pol
+	}
+	var store *kv.Store
+	switch {
+	case *serve || *iiop != "":
+		cfg.ObjectGroups = map[ids.ObjectGroupID]ids.Membership{kvConn.ServerGroup: membership}
+		hc.Conn, hc.Key, hc.Gateway = kvConn, kvKey, *iiop
+		if *serve {
+			store = kv.New()
+			hc.Servant = store
 		}
-		log = l
-		if rec.TornTail != nil {
-			fmt.Fprintf(os.Stderr, "ftmpd: wal: torn tail truncated at %s+%d: %v\n",
-				rec.TruncatedSegment, rec.TruncatedAt, rec.TornTail)
+	default:
+		// The line bridge: after a crash the replayed history is printed
+		// and the group resumes from the last logged epoch.
+		hc.Group, hc.Members = group, membership
+		hc.Callbacks = core.Callbacks{
+			Deliver: func(d core.Delivery) {
+				fmt.Fprintf(out, "[%v] %s\n", d.Source, d.Payload)
+				out.Flush()
+			},
+			ViewChange: func(v core.ViewChange) {
+				if !*quietFlag {
+					fmt.Fprintf(out, "-- view %v: members %v (%v)\n", v.ViewTS, v.Members, v.Reason)
+					out.Flush()
+				}
+			},
+			FaultReport: func(g ids.GroupID, convicted ids.Membership) {
+				if !*quietFlag {
+					fmt.Fprintf(out, "-- fault: %v convicted in %v\n", convicted, g)
+					out.Flush()
+				}
+			},
 		}
-		replay = runtime.RecoverReplay(rec.Records)
-		if n := len(replay.Deliveries); n > 0 {
-			fmt.Fprintf(os.Stderr, "ftmpd: wal: recovered %d deliveries from %d segments (%d bytes)\n",
-				n, rec.Segments, rec.Bytes)
-			for _, d := range replay.Deliveries {
+		hc.Replay = func(rp runtime.Replay) {
+			for _, d := range rp.Deliveries {
 				fmt.Fprintf(out, "[replay] %s\n", d.Payload)
 			}
 			out.Flush()
 		}
 	}
 
-	// Every stage of the runtime runs wide: parallel decode, upcalls
-	// (and the WAL's group commit) on the delivery executor, sharded
-	// sends drained in sendmmsg vectors. Hosts without sendmmsg/recvmmsg
-	// fall back to single syscalls inside the transport.
-	opts := runtime.Options{
-		RecvWorkers:   4,
-		DeliveryDepth: 1024,
-		SendShards:    2,
-		SendBatch:     mmsgVector,
-		WAL:           log,
-		WALBatch:      64,
-		OnWALError: func(err error) {
-			fmt.Fprintf(os.Stderr, "ftmpd: wal: %v\n", err)
-		},
-	}
-
-	mk := func(h transport.Handler) (transport.Transport, error) {
+	hc.Core = cfg
+	hc.Transport = func(h transport.Handler) (transport.Transport, error) {
 		switch *trFlag {
 		case "multicast":
 			mc := transport.NewUDPMulticast(h)
-			mc.SetSendBatch(mmsgVector)
+			mc.SetSendBatch(host.MMsgVector)
 			return mc, nil
 		case "mesh":
 			mesh, err := transport.NewUDPMeshConfig(*listen, h,
-				transport.MeshConfig{RecvBatch: mmsgVector, SendBatch: mmsgVector})
+				transport.MeshConfig{RecvBatch: host.MMsgVector, SendBatch: host.MMsgVector})
 			if err != nil {
 				return nil, err
 			}
@@ -229,69 +230,21 @@ func main() {
 		}
 	}
 
-	r, err := runtime.New(cfg, cb, mk, opts)
-	if err != nil {
+	h, err := host.New(hc)
+	if errors.Is(err, host.ErrOwnView) {
+		fatal("%v: restart under a fresh -id", err)
+	} else if err != nil {
 		fatal("%v", err)
 	}
-	defer r.Close()
-
-	r.Do(func(node *core.Node, now int64) {
-		runtime.Bootstrap(node, now, group, membership, replay)
-	})
-	if ep, ok := replay.Epochs[group]; ok {
-		fmt.Fprintf(os.Stderr, "ftmpd: resuming group %v at recovered view %v %v\n",
-			group, ep.ViewTS, ep.Members)
-	}
-	if wr, ok := replay.Wedged[group]; ok {
-		fmt.Fprintf(os.Stderr,
-			"ftmpd: wal: group %v was WEDGED at crash (epoch %d, view %v %v): log tail predates a rejoin; this replica is not authoritative\n",
-			group, wr.Epoch, wr.ViewTS, wr.Members)
-	}
-	fmt.Fprintf(os.Stderr, "ftmpd: processor %v in group %v %v; type lines to multicast\n",
-		self, group, membership)
-
-	// Periodic WAL compaction: checkpoint at the group's stability cut
-	// (everything at or below it is acknowledged group-wide) and drop the
-	// whole segments behind it. ftmpd's application state is the printed
-	// transcript, so the checkpoint carries no snapshot — compaction's
-	// effect is that a restart replays only the suffix. The current
-	// membership epoch is retained so the compacted log still resumes the
-	// group (the removed segments may hold the only RecEpoch).
-	if log != nil && *compactEvery > 0 {
-		compactor := wal.NewCompactor(wal.CompactorConfig{
-			Log: log,
-			// Runs inside WALExec, on the goroutine that owns the log; the
-			// loop goroutine is free to answer Do.
-			Snapshot: func() (cut ids.Timestamp, state []byte, retain []wal.Record, err error) {
-				r.Do(func(node *core.Node, now int64) {
-					if st, ok := node.Status(group); ok && !st.Wedged && st.Joined {
-						cut = st.Stable
-						retain = []wal.Record{{Type: wal.RecEpoch, Epoch: &wal.EpochRecord{
-							Group: group, ViewTS: st.ViewTS, Members: st.Members,
-						}}}
-					}
-				})
-				return cut, nil, retain, nil
-			},
-		})
-		go func() {
-			ticker := time.NewTicker(*compactEvery)
-			defer ticker.Stop()
-			for range ticker.C {
-				err := r.WALExec(func() error {
-					compacted, err := compactor.MaybeCompact()
-					if compacted && !*quietFlag {
-						cut, _ := log.LastCheckpoint()
-						fmt.Fprintf(os.Stderr, "ftmpd: wal: compacted at cut %v (%d segments, %d bytes on disk)\n",
-							cut, log.Segments(), log.DiskBytes())
-					}
-					return err
-				})
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "ftmpd: wal: compact: %v\n", err)
-				}
-			}
-		}()
+	r, log := h.Runner, h.Log
+	switch {
+	case *serve:
+		fmt.Fprintf(os.Stderr, "ftmpd: processor %v replicates %q of %v\n", self, kvKey, membership)
+	case *iiop != "":
+		fmt.Fprintf(os.Stderr, "ftmpd: gateway listening on %s (IIOP), replicas %v\n", h.Addr, membership)
+	default:
+		fmt.Fprintf(os.Stderr, "ftmpd: processor %v in group %v %v; type lines to multicast\n",
+			self, group, membership)
 	}
 
 	// SIGINT/SIGTERM leave gracefully: the RemoveProcessor is ordered
@@ -300,10 +253,7 @@ func main() {
 	// survivor has to convict us and run a recovery round.
 	var once sync.Once
 	leave := func(why string) {
-		once.Do(func() {
-			fmt.Fprintf(os.Stderr, "ftmpd: %s, leaving group %v\n", why, group)
-			shutdown(r, group, log)
-		})
+		once.Do(func() { shutdown(h, why, store) })
 	}
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, os.Interrupt, syscall.SIGTERM)
@@ -319,7 +269,11 @@ func main() {
 		case line == "":
 			continue
 		case line == "/stats":
+			group, _ := h.Group()
 			r.Do(func(node *core.Node, now int64) {
+				if store != nil {
+					fmt.Fprintf(os.Stderr, "ftmpd: kv: keys=%d digest=%s\n", store.Len(), store.Digest())
+				}
 				st, ok := node.Status(group)
 				if !ok {
 					return
@@ -362,12 +316,14 @@ func main() {
 				})
 			}
 		case line == "/leave":
+			group, _ := h.Group()
 			r.Do(func(node *core.Node, now int64) {
 				if err := node.Leave(now, group); err != nil {
 					fmt.Fprintf(os.Stderr, "ftmpd: leave: %v\n", err)
 				}
 			})
 		default:
+			group, _ := h.Group()
 			r.Do(func(node *core.Node, now int64) {
 				if err := node.Multicast(now, group, ids.ConnectionID{}, 0, []byte(line)); err != nil {
 					fmt.Fprintf(os.Stderr, "ftmpd: multicast: %v\n", err)
@@ -379,26 +335,27 @@ func main() {
 	leave("stdin closed")
 }
 
-// shutdown drives the graceful departure: flush and fsync the WAL so
-// everything delivered so far is durable, propose Leave, wait (bounded)
-// until the removal is stable and the node has gone silent, log the
-// final recovery point, then print the robustness counters accumulated
-// over the process lifetime and exit.
-func shutdown(r *runtime.Runner, group ids.GroupID, log *wal.Log) {
-	// The delivery executor owns the log; syncing means draining the
-	// executor through its barrier.
-	if err := r.WALSync(); err != nil {
+// shutdown drives the graceful departure: make everything delivered so
+// far durable, propose Leave, wait (bounded) until the removal is stable
+// and the node has gone silent, stop the host, log the final recovery
+// point and the replicated state, then print the robustness counters
+// accumulated over the process lifetime and exit.
+func shutdown(h *host.Host, why string, store *kv.Store) {
+	group, joined := h.Group()
+	fmt.Fprintf(os.Stderr, "ftmpd: %s, leaving group %v\n", why, group)
+	if err := h.Sync(); err != nil {
 		fmt.Fprintf(os.Stderr, "ftmpd: wal sync: %v\n", err)
 	}
-	r.Do(func(node *core.Node, now int64) {
-		if err := node.Leave(now, group); err != nil {
-			fmt.Fprintf(os.Stderr, "ftmpd: leave: %v\n", err)
-		}
-	})
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
+	if joined {
+		h.Runner.Do(func(node *core.Node, now int64) {
+			if err := node.Leave(now, group); err != nil {
+				fmt.Fprintf(os.Stderr, "ftmpd: leave: %v\n", err)
+			}
+		})
+	}
+	for deadline := time.Now().Add(3 * time.Second); joined && time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
 		done := false
-		r.Do(func(node *core.Node, now int64) {
+		h.Runner.Do(func(node *core.Node, now int64) {
 			st, ok := node.Status(group)
 			done = !ok || st.Left
 		})
@@ -406,17 +363,17 @@ func shutdown(r *runtime.Runner, group ids.GroupID, log *wal.Log) {
 			fmt.Fprintln(os.Stderr, "ftmpd: departure stable")
 			break
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
-	// The departure itself appended view records: stop the pipeline
-	// (Close drains the executor, including its final group commit and
-	// sync) and report where a restart would resume.
-	r.Close()
-	if log != nil {
-		seg, off, synced := log.RecoveryPoint()
+	// The departure itself appended view records: Close drains them into
+	// the log and syncs it.
+	h.Close()
+	if h.Log != nil {
+		seg, off, synced := h.Log.RecoveryPoint()
 		fmt.Fprintf(os.Stderr, "ftmpd: wal recovery point: segment %d offset %d synced=%v\n",
 			seg, off, synced)
-		_ = log.Close()
+	}
+	if store != nil {
+		fmt.Fprintf(os.Stderr, "ftmpd: kv: keys=%d digest=%s\n", store.Len(), store.Digest())
 	}
 	fmt.Fprintln(os.Stderr, trace.CountersTable("ftmpd shutdown summary").String())
 	os.Exit(0)

@@ -2,9 +2,10 @@
 // knowledge of replication) invokes an object that is actively
 // replicated on two processors. The gateway forwards each request over
 // FTMP — real UDP sockets on the loopback interface — to both replicas,
-// which execute it exactly once each, and returns the group's reply on
-// the TCP connection. This is the Eternal system's gateway role for
-// clients outside the replication domain.
+// which write it ahead to their logs, execute it exactly once each, and
+// returns the group's reply on the TCP connection. This is the Eternal
+// system's gateway role for clients outside the replication domain.
+// Each processor is a host.Config, as in ftmpd -serve / -iiop.
 //
 //	go run ./examples/iiop-gateway
 package main
@@ -14,14 +15,12 @@ import (
 	"time"
 
 	"ftmp/internal/core"
-	"ftmp/internal/ftcorba"
-	"ftmp/internal/gateway"
 	"ftmp/internal/giop"
+	"ftmp/internal/host"
 	"ftmp/internal/ids"
+	"ftmp/internal/kv"
 	"ftmp/internal/orb"
-	"ftmp/internal/runtime"
-	"ftmp/internal/transport"
-	"ftmp/internal/wire"
+	"ftmp/internal/wal"
 )
 
 const (
@@ -29,103 +28,35 @@ const (
 	serverOG = ids.ObjectGroupID(20)
 )
 
-// inventory is the replicated servant: a deterministic stock counter.
-type inventory struct{ stock int64 }
-
-func (inv *inventory) Invoke(op string, args []byte) ([]byte, *orb.Exception) {
-	d := giop.NewDecoder(args, false)
-	switch op {
-	case "restock":
-		inv.stock += d.LongLong()
-	case "take":
-		n := d.LongLong()
-		if n > inv.stock {
-			return nil, &orb.Exception{RepoID: "IDL:shop/OutOfStock:1.0"}
-		}
-		inv.stock -= n
-	case "stock":
-	default:
-		return nil, orb.ExcBadOperation
-	}
-	if d.Err() != nil {
-		return nil, orb.ExcUnknown
-	}
-	e := giop.NewEncoder(false)
-	e.LongLong(inv.stock)
-	return e.Bytes(), nil
-}
-
 func main() {
 	servers := ids.NewMembership(1, 2)
 	conn := ids.ConnectionID{ClientDomain: 1, ClientGroup: clientOG, ServerDomain: 1, ServerGroup: serverOG}
 
-	runners := make(map[ids.ProcessorID]*runtime.Runner)
-	infras := make(map[ids.ProcessorID]*ftcorba.Infra)
-	invs := make(map[ids.ProcessorID]*inventory)
-	var meshes []*transport.UDPMesh
-
+	stores := make(map[ids.ProcessorID]*kv.Store)
+	loopback := host.Loopback()
+	var hosts []*host.Host
+	// Processors 1 and 2 replicate a key-value store; processor 3 hosts
+	// the gateway, which opens the logical connection.
 	for i := 1; i <= 3; i++ {
 		p := ids.ProcessorID(i)
 		cfg := core.DefaultConfig(p)
 		cfg.HeartbeatInterval = 2_000_000
 		cfg.PGMP.SuspectTimeout = 2_000_000_000 // tolerate scheduler jitter
 		cfg.ObjectGroups = map[ids.ObjectGroupID]ids.Membership{serverOG: servers}
-		var r *runtime.Runner
-		var infra *ftcorba.Infra
-		cb := core.Callbacks{
-			Transmit: func(wire.MulticastAddr, []byte) {},
-			Deliver:  func(d core.Delivery) { infra.OnDeliver(d, r.Now()) },
+		hc := host.Config{Core: cfg, Transport: loopback, Conn: conn, Key: "kv"}
+		if servers.Contains(p) {
+			stores[p] = kv.New()
+			hc.Servant, hc.FS = stores[p], wal.NewMemFS()
+		} else {
+			hc.Gateway = "127.0.0.1:0"
 		}
-		var mesh *transport.UDPMesh
-		var err error
-		r, err = runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
-			m, e := transport.NewUDPMesh("127.0.0.1:0", h)
-			mesh = m
-			return m, e
-		}, runtime.Options{})
+		h, err := host.New(hc)
 		if err != nil {
 			panic(err)
 		}
-		defer r.Close()
-		infra = ftcorba.New(p, 1, r.Node)
-		if servers.Contains(p) {
-			inv := &inventory{}
-			invs[p] = inv
-			infra.Serve(serverOG, "inventory", inv)
-		} else {
-			infra.RegisterObjectKey(serverOG, "inventory")
-		}
-		runners[p] = r
-		infras[p] = infra
-		meshes = append(meshes, mesh)
+		hosts = append(hosts, h)
 	}
-	for _, m := range meshes {
-		for _, peer := range meshes {
-			if err := m.AddPeer(peer.LocalAddr()); err != nil {
-				panic(err)
-			}
-		}
-	}
-
-	// Processor 3 hosts the gateway; it opens the logical connection.
-	domainAddr := core.DefaultConfig(3).DomainAddr
-	runners[3].Do(func(_ *core.Node, now int64) {
-		infras[3].Connect(now, conn, domainAddr, ids.NewMembership(3))
-	})
-	for {
-		ok := false
-		runners[3].Do(func(*core.Node, int64) { ok = infras[3].Established(conn) })
-		if ok {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	gw := gateway.New(runners[3], infras[3], conn)
-	addr, err := gw.Listen("127.0.0.1:0")
-	if err != nil {
-		panic(err)
-	}
-	defer gw.Close()
+	addr := hosts[2].Addr
 	fmt.Printf("gateway listening on %s (IIOP), replicas on processors %v over UDP\n\n", addr, servers)
 
 	// An off-the-shelf IIOP client, oblivious to the replication.
@@ -134,30 +65,33 @@ func main() {
 		panic(err)
 	}
 	defer cli.Close()
-	call := func(op string, n int64) {
-		e := giop.NewEncoder(false)
-		e.LongLong(n)
-		out, err := cli.Invoke("inventory", op, e.Bytes())
+	call := func(op string, args []byte) {
+		out, err := cli.Invoke("kv", op, args)
 		if err != nil {
-			fmt.Printf("%-8s %3d -> error: %v\n", op, n, err)
-			return
+			fmt.Printf("%-4s -> error: %v\n", op, err)
+		} else if op == "get" {
+			fmt.Printf("%-4s -> %q\n", op, giop.NewDecoder(out, false).String())
+		} else {
+			fmt.Printf("%-4s -> ok\n", op)
 		}
-		d := giop.NewDecoder(out, false)
-		fmt.Printf("%-8s %3d -> stock %3d\n", op, n, d.LongLong())
 	}
-	call("restock", 100)
-	call("take", 30)
-	call("take", 80) // user exception from the replicated servant
-	call("take", 20)
-	call("stock", 0)
+	call("put", kv.PutArgs("apples", "100"))
+	call("get", kv.GetArgs("apples"))
+	call("get", kv.GetArgs("pears")) // user exception from the replicated servant
+	call("put", kv.PutArgs("apples", "70"))
+	call("get", kv.GetArgs("apples"))
 
-	// Both replicas hold identical state (strong replica consistency).
+	// Both replicas hold identical state (strong replica consistency),
+	// read once their processors have stopped.
 	time.Sleep(50 * time.Millisecond)
+	for _, h := range hosts {
+		h.Close()
+	}
 	fmt.Println()
 	for _, p := range servers {
-		fmt.Printf("replica %v stock: %d\n", p, invs[p].stock)
+		fmt.Printf("replica %v: %d keys, state digest %.16s\n", p, stores[p].Len(), stores[p].Digest())
 	}
-	if invs[1].stock != invs[2].stock {
+	if stores[1].Digest() != stores[2].Digest() {
 		panic("replica divergence")
 	}
 	fmt.Println("replicas consistent; TCP client never knew.")

@@ -10,14 +10,13 @@ package main
 
 import (
 	"fmt"
-	"sort"
 
 	"ftmp/internal/core"
 	"ftmp/internal/ftcorba"
 	"ftmp/internal/giop"
 	"ftmp/internal/harness"
 	"ftmp/internal/ids"
-	"ftmp/internal/orb"
+	"ftmp/internal/kv"
 	"ftmp/internal/simnet"
 )
 
@@ -25,91 +24,6 @@ const (
 	clientOG = ids.ObjectGroupID(11)
 	serverOG = ids.ObjectGroupID(21)
 )
-
-// kvStore is the replicated servant: a string map with CDR-marshalled
-// operations and full state transfer support.
-type kvStore struct {
-	data map[string]string
-}
-
-func newKV() *kvStore { return &kvStore{data: make(map[string]string)} }
-
-func (s *kvStore) Invoke(op string, args []byte) ([]byte, *orb.Exception) {
-	d := giop.NewDecoder(args, false)
-	switch op {
-	case "put":
-		k, v := d.String(), d.String()
-		if d.Err() != nil {
-			return nil, orb.ExcUnknown
-		}
-		s.data[k] = v
-		return nil, nil
-	case "get":
-		k := d.String()
-		if d.Err() != nil {
-			return nil, orb.ExcUnknown
-		}
-		v, ok := s.data[k]
-		if !ok {
-			return nil, &orb.Exception{RepoID: "IDL:kv/NotFound:1.0"}
-		}
-		e := giop.NewEncoder(false)
-		e.String(v)
-		return e.Bytes(), nil
-	case "size":
-		e := giop.NewEncoder(false)
-		e.ULong(uint32(len(s.data)))
-		return e.Bytes(), nil
-	default:
-		return nil, orb.ExcBadOperation
-	}
-}
-
-// SnapshotState implements ftcorba.Stateful.
-func (s *kvStore) SnapshotState() ([]byte, error) {
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e := giop.NewEncoder(false)
-	e.ULong(uint32(len(keys)))
-	for _, k := range keys {
-		e.String(k)
-		e.String(s.data[k])
-	}
-	return e.Bytes(), nil
-}
-
-// RestoreState implements ftcorba.Stateful.
-func (s *kvStore) RestoreState(b []byte) error {
-	d := giop.NewDecoder(b, false)
-	n := d.ULong()
-	m := make(map[string]string, n)
-	for i := uint32(0); i < n; i++ {
-		k := d.String()
-		v := d.String()
-		m[k] = v
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	s.data = m
-	return nil
-}
-
-func putArgs(k, v string) []byte {
-	e := giop.NewEncoder(false)
-	e.String(k)
-	e.String(v)
-	return e.Bytes()
-}
-
-func getArgs(k string) []byte {
-	e := giop.NewEncoder(false)
-	e.String(k)
-	return e.Bytes()
-}
 
 func main() {
 	servers := ids.NewMembership(1, 2, 3)
@@ -125,7 +39,7 @@ func main() {
 	}, 1, 2, 3, 4, 5, 6)
 
 	infras := make(map[ids.ProcessorID]*ftcorba.Infra)
-	stores := make(map[ids.ProcessorID]*kvStore)
+	stores := make(map[ids.ProcessorID]*kv.Store)
 	for _, p := range cluster.Procs() {
 		h := cluster.Host(p)
 		infra := ftcorba.New(p, 1, h.Node)
@@ -133,9 +47,8 @@ func main() {
 		h.OnDeliver = infra.OnDeliver
 		switch {
 		case servers.Contains(p):
-			kv := newKV()
-			stores[p] = kv
-			infra.Serve(serverOG, "kv", kv)
+			stores[p] = kv.New()
+			infra.Serve(serverOG, "kv", stores[p])
 		case clients.Contains(p):
 			infra.RegisterObjectKey(serverOG, "kv")
 		}
@@ -169,9 +82,9 @@ func main() {
 			s := script[i]
 			var args []byte
 			if s.op == "put" {
-				args = putArgs(s.k, s.v)
+				args = kv.PutArgs(s.k, s.v)
 			} else {
-				args = getArgs(s.k)
+				args = kv.GetArgs(s.k)
 			}
 			err := infras[cp].Call(int64(cluster.Net.Now()), conn, s.op, args, func(result []byte, err error) {
 				if s.op == "get" && cp == clients[0] {
@@ -206,9 +119,8 @@ func main() {
 	// Eternal-style snapshot protocol, see internal/ftcorba).
 	fmt.Println("-- adding server replica P4 with state transfer --")
 	g := cluster.Host(5).Node.ConnectionState(conn).Group
-	kv4 := newKV()
-	stores[4] = kv4
-	infras[4].ServeJoining(serverOG, "kv", kv4)
+	stores[4] = kv.New()
+	infras[4].ServeJoining(serverOG, "kv", stores[4])
 	cluster.Host(4).Node.ListenGroup(g)
 	if err := cluster.Host(1).Node.RequestAddProcessor(int64(cluster.Net.Now()), g, 4); err != nil {
 		panic(err)
@@ -229,7 +141,7 @@ func main() {
 	}
 	// One more write so the new replica proves it tracks the stream.
 	fin := false
-	err := infras[5].Call(int64(cluster.Net.Now()), conn, "put", putArgs("delta", "4"), func([]byte, error) { fin = true })
+	err := infras[5].Call(int64(cluster.Net.Now()), conn, "put", kv.PutArgs("delta", "4"), func([]byte, error) { fin = true })
 	if err != nil {
 		panic(err)
 	}
@@ -237,12 +149,9 @@ func main() {
 	cluster.RunFor(simnet.Second)
 
 	for _, p := range []ids.ProcessorID{1, 2, 3, 4} {
-		snap, _ := stores[p].SnapshotState()
-		fmt.Printf("replica %v: %d keys, state digest %d bytes\n", p, len(stores[p].data), len(snap))
+		fmt.Printf("replica %v: %d keys, state digest %.16s\n", p, stores[p].Len(), stores[p].Digest())
 	}
-	a, _ := stores[1].SnapshotState()
-	b, _ := stores[4].SnapshotState()
-	if string(a) != string(b) {
+	if stores[1].Digest() != stores[4].Digest() {
 		panic("new replica diverged")
 	}
 	fmt.Println("new replica state identical to the originals.")

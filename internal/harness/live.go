@@ -14,15 +14,15 @@ package harness
 // lately.
 //
 // Unlike E1-E13, which run on the deterministic simulated network, E17
-// measures the real runtime: n replicas in one process, each a
-// runtime.Runner with every stage wide on its own UDP socket on the
-// loopback interface, with its own write-ahead log (fsync=always on a
-// temporary directory). Replica 1 runs an open-loop generator offering
-// the same rate of small sequence-numbered messages to both modes, at 3
-// and 5 members. Latency is send-to-deliver against the generator's
-// send stamps, sampled at every replica (the table aggregates all
-// replicas' samples: the order property is group-wide, not
-// sender-local).
+// measures the real runtime: n replicas in one process, each a raw
+// host (package host: every runtime stage wide, as ftmpd runs them) on
+// its own UDP socket on the loopback interface, with its own write-ahead
+// log (fsync=always on a temporary directory). Replica 1 runs an
+// open-loop generator offering the same rate of small sequence-numbered
+// messages to both modes, at 3 and 5 members. Latency is
+// send-to-deliver against the generator's send stamps, sampled at every
+// replica (the table aggregates all replicas' samples: the order
+// property is group-wide, not sender-local).
 //
 // This is the one wall-clock experiment ftmpbench keeps, because it
 // compares two shipped protocol modes on the same cluster. How fast the
@@ -38,12 +38,10 @@ import (
 	"time"
 
 	"ftmp/internal/core"
+	"ftmp/internal/host"
 	"ftmp/internal/ids"
-	"ftmp/internal/runtime"
 	"ftmp/internal/trace"
-	"ftmp/internal/transport"
 	"ftmp/internal/wal"
-	"ftmp/internal/wire"
 )
 
 const (
@@ -67,11 +65,9 @@ type E17Result struct {
 }
 
 type liveNode struct {
-	r    *runtime.Runner
-	mesh *transport.UDPMesh
-	log  *wal.Log
-	dir  string
-	got  atomic.Int64 // payload messages delivered
+	h   *host.Host
+	dir string
+	got atomic.Int64 // payload messages delivered
 }
 
 // liveCluster is n durable replicas on UDP loopback; replica 1 (index
@@ -85,8 +81,8 @@ type liveCluster struct {
 	done      chan struct{}   // closed once the sender has delivered all total
 }
 
-// newLiveCluster starts the replicas, connects the full mesh and
-// creates the group. The cluster is returned even on error, for close.
+// newLiveCluster starts the replicas, each creating the group. The
+// cluster is returned even on error, for close.
 func newLiveCluster(order core.OrderMode, n, msgs int) (*liveCluster, error) {
 	c := &liveCluster{
 		total:     liveWarmup + msgs,
@@ -95,11 +91,13 @@ func newLiveCluster(order core.OrderMode, n, msgs int) (*liveCluster, error) {
 	}
 	var members ids.Membership
 	for i := 0; i < n; i++ {
+		members = members.Add(ids.ProcessorID(i + 1))
+	}
+	loopback := host.Loopback()
+	for i := 0; i < n; i++ {
 		nd := &liveNode{}
 		c.nodes = append(c.nodes, nd)
 		p := ids.ProcessorID(i + 1)
-		members = members.Add(p)
-
 		var err error
 		if nd.dir, err = os.MkdirTemp("", fmt.Sprintf("ftmp-e17-%v-p%d-", order, p)); err != nil {
 			return c, err
@@ -108,48 +106,21 @@ func newLiveCluster(order core.OrderMode, n, msgs int) (*liveCluster, error) {
 		if err != nil {
 			return c, err
 		}
-		nd.log, _, err = wal.Open(wal.Config{
-			FS:     dfs,
-			Policy: wal.SyncAlways,
-			Now:    func() int64 { return time.Now().UnixNano() },
-		})
-		if err != nil {
-			return c, err
-		}
-
 		cfg := core.DefaultConfig(p)
 		cfg.Order = order
 		cfg.PGMP.SuspectTimeout = 5_000_000_000 // no convictions under load
-		cb := core.Callbacks{
-			Transmit: func(wire.MulticastAddr, []byte) {}, // installed by the runner
-			Deliver:  func(d core.Delivery) { c.deliver(i, d) },
-		}
-		nd.r, err = runtime.New(cfg, cb, func(h transport.Handler) (transport.Transport, error) {
-			m, err := transport.NewUDPMesh("127.0.0.1:0", h)
-			nd.mesh = m
-			return m, err
-		}, runtime.Options{
-			RecvWorkers:   4,
-			DeliveryDepth: 1024,
-			SendShards:    2,
-			WAL:           nd.log,
-			WALBatch:      64,
+		nd.h, err = host.New(host.Config{
+			Core:      cfg,
+			Transport: loopback,
+			FS:        dfs,
+			Policy:    wal.SyncAlways,
+			Group:     e17Group,
+			Members:   members,
+			Callbacks: core.Callbacks{Deliver: func(d core.Delivery) { c.deliver(i, d) }},
 		})
 		if err != nil {
 			return c, err
 		}
-	}
-	for _, a := range c.nodes {
-		for _, b := range c.nodes {
-			if err := a.mesh.AddPeer(b.mesh.LocalAddr()); err != nil {
-				return c, err
-			}
-		}
-	}
-	for _, nd := range c.nodes {
-		nd.r.Do(func(node *core.Node, now int64) {
-			node.CreateGroup(now, e17Group, members)
-		})
 	}
 	return c, nil
 }
@@ -176,7 +147,7 @@ func (c *liveCluster) send(seq int) error {
 	binary.BigEndian.PutUint64(payload, uint64(seq))
 	var err error
 	atomic.StoreInt64(&c.sendTimes[seq], time.Now().UnixNano())
-	c.nodes[0].r.Do(func(node *core.Node, now int64) {
+	c.nodes[0].h.Runner.Do(func(node *core.Node, now int64) {
 		err = node.Multicast(now, e17Group, ids.ConnectionID{}, 0, payload)
 	})
 	return err
@@ -237,10 +208,10 @@ func (c *liveCluster) run(rate float64) (time.Duration, error) {
 	// Every log durable and every runner stopped, so that the counters
 	// are final.
 	for _, nd := range c.nodes {
-		if err := nd.r.WALSync(); err != nil {
+		if err := nd.h.Sync(); err != nil {
 			return 0, err
 		}
-		nd.r.Close()
+		nd.h.Close()
 	}
 	return elapsed, nil
 }
@@ -248,11 +219,8 @@ func (c *liveCluster) run(rate float64) (time.Duration, error) {
 // close releases whatever newLiveCluster got as far as creating.
 func (c *liveCluster) close() {
 	for _, nd := range c.nodes {
-		if nd.r != nil {
-			nd.r.Close()
-		}
-		if nd.log != nil {
-			_ = nd.log.Close()
+		if nd.h != nil {
+			nd.h.Close()
 		}
 		if nd.dir != "" {
 			_ = os.RemoveAll(nd.dir)

@@ -165,6 +165,8 @@ type node struct {
 	// txFree is when the node's link finishes serializing its previous
 	// packet (the bandwidth model).
 	txFree Time
+	// stalled holds a stalled node's arrivals, non-nil while it sleeps.
+	stalled []*event
 }
 
 // Net is the simulated network and event loop. Not safe for concurrent
@@ -312,6 +314,30 @@ func (n *Net) FlapLink(a, b NodeID, start, down, up Time, cycles int) {
 	}
 }
 
+// Stall freezes node id from at for d, as a scheduler or collector pause
+// holds a live process off its CPU: its ticks stop and what reaches it
+// queues. On wake the overdue tick fires first — the timer is served
+// before the readers have moved the socket backlog up — and then the
+// backlog is handed over in one burst, in arrival order.
+func (n *Net) Stall(id NodeID, at, d Time) {
+	nd := n.nodes[id]
+	n.At(at, func() {
+		nd.stalled = []*event{}
+		nd.tickGen++ // the tick chain stops here
+	})
+	n.At(at+d, func() {
+		if nd.tick > 0 && !nd.crashed {
+			nd.ep.Tick(int64(n.now))
+			n.post(&event{at: n.now + nd.tick, kind: evTick, node: id, gen: nd.tickGen})
+		}
+		for _, e := range nd.stalled {
+			e.at = n.now
+			n.post(e)
+		}
+		nd.stalled = nil
+	})
+}
+
 // SetLoss changes the loss rate mid-run.
 func (n *Net) SetLoss(rate float64) { n.cfg.LossRate = rate }
 
@@ -412,7 +438,9 @@ func (n *Net) Step() bool {
 	switch e.kind {
 	case evDeliver:
 		nd := n.nodes[e.node]
-		if nd != nil && !nd.crashed {
+		if nd != nil && nd.stalled != nil {
+			nd.stalled = append(nd.stalled, e)
+		} else if nd != nil && !nd.crashed {
 			n.stats.PacketsDelivered++
 			n.stats.BytesDelivered += uint64(len(e.data))
 			nd.ep.HandlePacket(e.data, e.addr, int64(n.now))

@@ -114,3 +114,34 @@ func TestBackToBackCrashRestart(t *testing.T) {
 		t.Fatalf("post-cycle delivery = %q, want trailing %q", b.pkts, "ok")
 	}
 }
+
+// A stalled node neither ticks nor receives; on wake it gets the overdue
+// tick, then its backlog in one burst, in arrival order, and ticks on.
+func TestStallHandsBacklogOverOnWake(t *testing.T) {
+	n := New(1, Config{LatencyBase: Millisecond})
+	a, b := &recorder{}, &recorder{}
+	n.AddNode(1, a, 0)
+	n.AddNode(2, b, 10*Millisecond)
+	n.Subscribe(2, 100)
+	n.Stall(2, 15*Millisecond, 50*Millisecond)
+	for i, at := range []Time{20, 30, 40} {
+		payload := []byte{byte('a' + i)}
+		n.At(at*Millisecond, func() { n.Send(1, 100, payload) })
+	}
+	n.Run(64 * Millisecond)
+	if len(b.pkts) != 0 || len(b.ticks) != 1 {
+		t.Fatalf("stalled node got %d packets and %d ticks, want 0 and the one before the stall", len(b.pkts), len(b.ticks))
+	}
+	n.Run(100 * Millisecond)
+	if string(b.pkts[0])+string(b.pkts[1])+string(b.pkts[2]) != "abc" {
+		t.Fatalf("backlog %q, want a, b, c", b.pkts)
+	}
+	for _, at := range b.times {
+		if at != int64(65*Millisecond) {
+			t.Fatalf("backlog delivered at %v, want all at the wake (65ms)", b.times)
+		}
+	}
+	if want := []int64{int64(10 * Millisecond), int64(65 * Millisecond), int64(75 * Millisecond)}; len(b.ticks) < 3 || b.ticks[1] != want[1] || b.ticks[2] != want[2] {
+		t.Fatalf("ticks %v, want %v then every 10ms", b.ticks, want)
+	}
+}

@@ -194,10 +194,6 @@ func (l *Log) repairCompactTear() error {
 type CompactorConfig struct {
 	// Log is the log to compact. Required.
 	Log *Log
-	// MinSegments suppresses compaction until more than this many live
-	// segments exist (default 2): compacting a short log trades a
-	// checkpoint write for nothing.
-	MinSegments int
 	// Snapshot captures the application state at a stability cut: it
 	// returns the cut (0 if no cut is known yet), the serialized state
 	// covering everything at or below it, and records that must survive
@@ -216,9 +212,6 @@ type Compactor struct {
 
 // NewCompactor returns a Compactor over cfg.
 func NewCompactor(cfg CompactorConfig) *Compactor {
-	if cfg.MinSegments <= 0 {
-		cfg.MinSegments = 2
-	}
 	c := &Compactor{cfg: cfg}
 	if cut, ok := cfg.Log.LastCheckpoint(); ok {
 		c.lastCut = cut
@@ -226,12 +219,13 @@ func NewCompactor(cfg CompactorConfig) *Compactor {
 	return c
 }
 
-// MaybeCompact checkpoints and truncates if the log has grown past
-// MinSegments and the stability cut has advanced since the last
-// checkpoint. Returns whether a compaction ran. An error leaves the
-// log appendable (see Compact); callers retry on the next tick.
+// MaybeCompact checkpoints and truncates if the log holds more than two
+// segments (compacting a shorter one trades a checkpoint write for
+// nothing) and the stability cut has advanced since the last
+// checkpoint. Returns whether a compaction ran. An error leaves the log
+// appendable (see Compact); callers retry on the next tick.
 func (c *Compactor) MaybeCompact() (bool, error) {
-	if c.cfg.Log.Segments() <= c.cfg.MinSegments {
+	if c.cfg.Log.Segments() <= 2 {
 		return false, nil
 	}
 	cut, state, retain, err := c.cfg.Snapshot()

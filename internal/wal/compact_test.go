@@ -270,8 +270,7 @@ func TestCompactorDrivenByStabilityCut(t *testing.T) {
 	cut := ids.Timestamp(0)
 	snaps := 0
 	c := NewCompactor(CompactorConfig{
-		Log:         l,
-		MinSegments: 2,
+		Log: l,
 		Snapshot: func() (ids.Timestamp, []byte, []Record, error) {
 			snaps++
 			return cut, []byte(fmt.Sprintf("state@%d", cut)), nil, nil
@@ -289,7 +288,7 @@ func TestCompactorDrivenByStabilityCut(t *testing.T) {
 	if ran, err := c.MaybeCompact(); err != nil || ran {
 		t.Fatalf("re-compacted at an unchanged cut: %v, %v", ran, err)
 	}
-	// Below MinSegments: skip even with a newer cut.
+	// Two segments or fewer: skip even with a newer cut.
 	cut = ids.MakeTimestamp(200, 1)
 	if l.Segments() > 2 {
 		t.Skipf("log still has %d segments", l.Segments())
