@@ -28,7 +28,9 @@
 // processors named in -members, and -iiop hosts the IIOP gateway that
 // opens the logical connection to them. A replica that crashed restarts
 // under a fresh -id on its old -listen and -wal-dir: it replays its log
-// and catches up from the survivors by delta.
+// and catches up from the survivors by delta. A replacement with an
+// empty -wal-dir catches up by snapshot; /stats lists each transfer in
+// progress.
 package main
 
 import (
@@ -273,6 +275,13 @@ func main() {
 			r.Do(func(node *core.Node, now int64) {
 				if store != nil {
 					fmt.Fprintf(os.Stderr, "ftmpd: kv: keys=%d digest=%s\n", store.Len(), store.Digest())
+					for _, tp := range h.Infra.TransferProgress() {
+						role := "staging"
+						if tp.Sending {
+							role = "sending"
+						}
+						fmt.Fprintf(os.Stderr, "ftmpd: transfer: conn=%v marker=%v acked=%d/%d %s\n", tp.Conn, tp.MarkerTS, tp.Acked, tp.Total, role)
+					}
 				}
 				st, ok := node.Status(group)
 				if !ok {

@@ -127,18 +127,20 @@ var (
 // TestKillRestartDrive drives the CORBA path across real processes:
 // three -serve replicas and an -iiop gateway, an IIOP client putting and
 // getting through it, a kill -9 of one replica mid-loop and its restart
-// under a fresh id on the dead replica's address and log. The client
-// must see no failure, the restarted replica must recover from its log,
+// under a fresh id on the dead replica's address and log, then a kill -9
+// of a second replica and its replacement on that one's address with an
+// empty log. The client must see no failure, the restarted replica must
+// recover from its log, the replacement must catch up by state transfer,
 // and the replicas must end with identical state.
 func TestKillRestartDrive(t *testing.T) {
 	udp, iiop := freeAddrs(t, 4)
 	dir := t.TempDir()
 	common := []string{"-peers", strings.Join(udp, ","), "-members", "1,2,3", "-suspect-ms", "2000"}
-	replica := func(id, slot int) *daemon {
+	replica := func(id, slot int, walDir string) *daemon {
 		return startDaemon(t, append([]string{"-id", fmt.Sprint(id), "-listen", udp[slot], "-serve",
-			"-wal-dir", filepath.Join(dir, fmt.Sprint("p", slot+1))}, common...)...)
+			"-wal-dir", filepath.Join(dir, walDir)}, common...)...)
 	}
-	ds := map[int]*daemon{1: replica(1, 0), 2: replica(2, 1), 3: replica(3, 2)}
+	ds := map[int]*daemon{1: replica(1, 0, "p1"), 2: replica(2, 1, "p2"), 3: replica(3, 2, "p3")}
 	ds[4] = startDaemon(t, append([]string{"-id", "4", "-listen", udp[3], "-iiop", iiop}, common...)...)
 	ds[4].await(t, regexp.MustCompile(`gateway listening`), 15*time.Second)
 
@@ -177,23 +179,34 @@ func TestKillRestartDrive(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-ds[3].done
-	ds[5] = replica(5, 2)
+	ds[5] = replica(5, 2, "p3")
 	if m := ds[5].await(t, recovered, 10*time.Second); m[1] == "0" {
 		t.Fatal("the restarted replica recovered no ops")
 	}
-	for at, base := time.Now(), ops.Load(); time.Since(at) < 3*time.Second || ops.Load() < base+30; {
-		time.Sleep(20 * time.Millisecond)
+	keepGoing := func() {
+		for at, base := time.Now(), ops.Load(); time.Since(at) < 3*time.Second || ops.Load() < base+30; {
+			time.Sleep(20 * time.Millisecond)
+		}
 	}
+	keepGoing()
+
+	// A second replica dies; its replacement has no log at all.
+	if err := ds[2].cmd.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	<-ds[2].done
+	ds[6] = replica(6, 1, "p6")
+	keepGoing()
 	close(stop)
 	<-loopDone
 
-	live := []int{1, 2, 5}
+	live := []int{1, 5, 6}
 	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(200 * time.Millisecond) {
 		for _, id := range live {
 			ds[id].send("/stats")
 		}
 		time.Sleep(100 * time.Millisecond)
-		a, b, c := ds[1].last(kvLine), ds[2].last(kvLine), ds[5].last(kvLine)
+		a, b, c := ds[1].last(kvLine), ds[5].last(kvLine), ds[6].last(kvLine)
 		if a != nil && b != nil && c != nil && a[2] == b[2] && b[2] == c[2] {
 			break
 		}
@@ -201,10 +214,10 @@ func TestKillRestartDrive(t *testing.T) {
 			t.Fatalf("replica states never agreed: %v %v %v", a, b, c)
 		}
 	}
-	for _, id := range []int{4, 1, 2, 5} {
+	for _, id := range []int{4, 1, 5, 6} {
 		_ = ds[id].stdin.Close()
 	}
-	for _, id := range []int{4, 1, 2, 5} {
+	for _, id := range []int{4, 1, 5, 6} {
 		select {
 		case <-ds[id].done:
 		case <-time.After(15 * time.Second):

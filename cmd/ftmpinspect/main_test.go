@@ -28,18 +28,17 @@ func TestInspectSample(t *testing.T) {
 	}
 }
 
-// TestInspectVersion: the version line is the header's own minor byte,
-// whatever the message type — 1.3 for the sequencing frames, which the
-// inspector used to report as 1.0.
+// TestInspectVersion: the version line is the header's own version
+// bytes, the one version every frame carries, whatever the message type.
 func TestInspectVersion(t *testing.T) {
 	refs := []wire.SeqRef{{Source: 1, Seq: 4}}
 	for _, tc := range []struct {
 		body wire.Body
 		want string
 	}{
-		{&wire.Regular{Payload: []byte("x")}, "version 1.0"},
-		{&wire.Packed{Entries: []wire.PackedEntry{{Seq: 1, TS: 5, Payload: []byte("x")}}}, "version 1.1"},
-		{&wire.MembershipMsg{CurrentMembership: ids.NewMembership(1, 2), NewMembership: ids.NewMembership(1)}, "version 1.2"},
+		{&wire.Regular{Payload: []byte("x")}, "version 1.3"},
+		{&wire.Packed{Entries: []wire.PackedEntry{{Seq: 1, TS: 5, Payload: []byte("x")}}}, "version 1.3"},
+		{&wire.MembershipMsg{CurrentMembership: ids.NewMembership(1, 2), NewMembership: ids.NewMembership(1)}, "version 1.3"},
 		{&wire.SeqData{Payload: []byte("x"), Epoch: 1, First: 4, Refs: refs}, "version 1.3"},
 		{&wire.SeqAssign{Epoch: 1, First: 4, Refs: refs}, "version 1.3"},
 	} {

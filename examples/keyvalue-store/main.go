@@ -12,57 +12,28 @@ import (
 	"fmt"
 
 	"ftmp/internal/core"
-	"ftmp/internal/ftcorba"
 	"ftmp/internal/giop"
 	"ftmp/internal/harness"
 	"ftmp/internal/ids"
 	"ftmp/internal/kv"
+	"ftmp/internal/orb"
 	"ftmp/internal/simnet"
 )
 
-const (
-	clientOG = ids.ObjectGroupID(11)
-	serverOG = ids.ObjectGroupID(21)
-)
-
 func main() {
-	servers := ids.NewMembership(1, 2, 3)
-	clients := ids.NewMembership(5, 6)
-	conn := ids.ConnectionID{ClientDomain: 1, ClientGroup: clientOG, ServerDomain: 1, ServerGroup: serverOG}
-
-	cluster := harness.NewCluster(harness.Options{
-		Seed: 11,
-		Net:  simnet.NewConfig(),
-		Configure: func(p ids.ProcessorID, cfg *core.Config) {
-			cfg.ObjectGroups = map[ids.ObjectGroupID]ids.Membership{serverOG: servers}
-		},
-	}, 1, 2, 3, 4, 5, 6)
-
-	infras := make(map[ids.ProcessorID]*ftcorba.Infra)
+	// Servers P1-P3, client replicas P4 and P5, and P6, a spare that
+	// joins as the fourth server replica.
 	stores := make(map[ids.ProcessorID]*kv.Store)
-	for _, p := range cluster.Procs() {
-		h := cluster.Host(p)
-		infra := ftcorba.New(p, 1, h.Node)
-		infras[p] = infra
-		h.OnDeliver = infra.OnDeliver
-		switch {
-		case servers.Contains(p):
+	w := harness.NewWorld(harness.WorldSpec{
+		Seed: 11, Servers: 3, Clients: 2, Spares: 1, Key: "kv",
+		Servant: func(p ids.ProcessorID) orb.Servant {
 			stores[p] = kv.New()
-			infra.Serve(serverOG, "kv", stores[p])
-		case clients.Contains(p):
-			infra.RegisterObjectKey(serverOG, "kv")
-		}
-	}
-
+			return stores[p]
+		},
+	})
 	// Both client replicas open the connection (duplicate ConnectRequests
 	// are ignored by the server, paper section 7).
-	domainAddr := core.DefaultConfig(5).DomainAddr
-	now := int64(cluster.Net.Now())
-	infras[5].Connect(now, conn, domainAddr, clients)
-	infras[6].Connect(now, conn, domainAddr, clients)
-	if !cluster.RunUntil(10*simnet.Second, func() bool {
-		return infras[5].Established(conn) && infras[6].Established(conn)
-	}) {
+	if !w.Establish() {
 		panic("connection not established")
 	}
 
@@ -72,7 +43,7 @@ func main() {
 		{"get", "beta", ""}, {"put", "beta", "22"}, {"get", "beta", ""},
 	}
 	done := map[ids.ProcessorID]int{}
-	for _, cp := range clients {
+	for _, cp := range w.Clients {
 		cp := cp
 		var issue func(i int)
 		issue = func(i int) {
@@ -86,72 +57,60 @@ func main() {
 			} else {
 				args = kv.GetArgs(s.k)
 			}
-			err := infras[cp].Call(int64(cluster.Net.Now()), conn, s.op, args, func(result []byte, err error) {
-				if s.op == "get" && cp == clients[0] {
+			err := w.Infras[cp].Call(int64(w.Net.Now()), w.Conn, s.op, args, func(result []byte, err error) {
+				if s.op == "get" && cp == w.Clients[0] {
 					d := giop.NewDecoder(result, false)
 					fmt.Printf("get %s -> %q\n", s.k, d.String())
 				}
 				done[cp]++
-				cluster.Net.At(cluster.Net.Now(), func() { issue(i + 1) })
+				w.Net.At(w.Net.Now(), func() { issue(i + 1) })
 			})
 			if err != nil {
 				panic(err)
 			}
 		}
-		cluster.Net.At(cluster.Net.Now(), func() { issue(0) })
+		w.Net.At(w.Net.Now(), func() { issue(0) })
 	}
-	if !cluster.RunUntil(60*simnet.Second, func() bool {
-		return done[clients[0]] == len(script) && done[clients[1]] == len(script)
+	if !w.RunUntil(60*simnet.Second, func() bool {
+		return done[w.Clients[0]] == len(script) && done[w.Clients[1]] == len(script)
 	}) {
 		panic("script incomplete")
 	}
-	cluster.RunFor(simnet.Second)
+	w.RunFor(simnet.Second)
 
 	var dups uint64
-	for _, p := range servers {
-		dups += infras[p].Stats().DuplicateRequests
+	for _, p := range w.Servers {
+		dups += w.Infras[p].Stats().DuplicateRequests
 	}
 	fmt.Printf("\n%d logical requests; %d duplicate requests suppressed at the server replicas\n",
 		len(script), dups)
 
-	// A fourth server replica joins: processor group change, then state
-	// transfer positioned in the total order (paper section 7.1 and the
-	// Eternal-style snapshot protocol, see internal/ftcorba).
-	fmt.Println("-- adding server replica P4 with state transfer --")
-	g := cluster.Host(5).Node.ConnectionState(conn).Group
-	stores[4] = kv.New()
-	infras[4].ServeJoining(serverOG, "kv", stores[4])
-	cluster.Host(4).Node.ListenGroup(g)
-	if err := cluster.Host(1).Node.RequestAddProcessor(int64(cluster.Net.Now()), g, 4); err != nil {
-		panic(err)
-	}
-	full := ids.NewMembership(1, 2, 3, 4, 5, 6)
-	if !cluster.RunUntil(30*simnet.Second, func() bool {
-		return cluster.Host(4).Node.Members(g).Equal(full)
-	}) {
-		panic("P4 never joined the processor group")
-	}
-	if err := infras[1].AddReplica(int64(cluster.Net.Now()), conn, serverOG); err != nil {
-		panic(err)
-	}
-	if !cluster.RunUntil(30*simnet.Second, func() bool {
-		return infras[4].Stats().StateTransfers == 1
+	// A fourth server replica joins: it probes for readmission to the
+	// connection's processor group, announces its empty watermark, and
+	// receives a snapshot cut at its own request in the total order
+	// (paper section 7.1 and internal/ftcorba).
+	const joiner = ids.ProcessorID(6)
+	fmt.Printf("-- adding server replica %v with state transfer --\n", joiner)
+	stores[joiner] = kv.New()
+	w.Infras[joiner].Rejoin(int64(w.Net.Now()), w.Conn, w.Conn.ServerGroup, "kv", stores[joiner], core.DefaultConfig(joiner).DomainAddr)
+	if !w.RunUntil(w.Net.Now()+30*simnet.Second, func() bool {
+		return w.Infras[joiner].Stats().StateTransfers == 1 && !w.Infras[joiner].Joining(w.Conn.ServerGroup)
 	}) {
 		panic("state transfer incomplete")
 	}
 	// One more write so the new replica proves it tracks the stream.
 	fin := false
-	err := infras[5].Call(int64(cluster.Net.Now()), conn, "put", kv.PutArgs("delta", "4"), func([]byte, error) { fin = true })
+	err := w.Infras[w.Clients[0]].Call(int64(w.Net.Now()), w.Conn, "put", kv.PutArgs("delta", "4"), func([]byte, error) { fin = true })
 	if err != nil {
 		panic(err)
 	}
-	cluster.RunUntil(30*simnet.Second, func() bool { return fin })
-	cluster.RunFor(simnet.Second)
+	w.RunUntil(w.Net.Now()+30*simnet.Second, func() bool { return fin })
+	w.RunFor(simnet.Second)
 
-	for _, p := range []ids.ProcessorID{1, 2, 3, 4} {
+	for _, p := range append(w.Servers.Clone(), joiner) {
 		fmt.Printf("replica %v: %d keys, state digest %.16s\n", p, stores[p].Len(), stores[p].Digest())
 	}
-	if stores[1].Digest() != stores[4].Digest() {
+	if stores[1].Digest() != stores[joiner].Digest() {
 		panic("new replica diverged")
 	}
 	fmt.Println("new replica state identical to the originals.")

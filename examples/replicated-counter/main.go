@@ -11,18 +11,11 @@ package main
 import (
 	"fmt"
 
-	"ftmp/internal/core"
-	"ftmp/internal/ftcorba"
 	"ftmp/internal/giop"
 	"ftmp/internal/harness"
 	"ftmp/internal/ids"
 	"ftmp/internal/orb"
 	"ftmp/internal/simnet"
-)
-
-const (
-	clientOG = ids.ObjectGroupID(10)
-	serverOG = ids.ObjectGroupID(20)
 )
 
 // account is the replicated servant. Deterministic: same requests in the
@@ -56,43 +49,24 @@ func amount(v int64) []byte {
 }
 
 func main() {
-	servers := ids.NewMembership(1, 2, 3)
-	clients := ids.NewMembership(4)
-	conn := ids.ConnectionID{ClientDomain: 1, ClientGroup: clientOG, ServerDomain: 1, ServerGroup: serverOG}
-
-	cluster := harness.NewCluster(harness.Options{
-		Seed: 7,
-		Net:  simnet.NewConfig(),
-		Configure: func(p ids.ProcessorID, cfg *core.Config) {
-			cfg.ObjectGroups = map[ids.ObjectGroupID]ids.Membership{serverOG: servers}
-		},
-	}, 1, 2, 3, 4)
-
-	infras := make(map[ids.ProcessorID]*ftcorba.Infra)
+	// Servers P1-P3 and the client P4.
 	accounts := make(map[ids.ProcessorID]*account)
-	for _, p := range []ids.ProcessorID{1, 2, 3, 4} {
-		h := cluster.Host(p)
-		infra := ftcorba.New(p, 1, h.Node)
-		infras[p] = infra
-		h.OnDeliver = infra.OnDeliver
-		if servers.Contains(p) {
-			acct := &account{owner: p}
-			accounts[p] = acct
-			infra.Serve(serverOG, "account", acct)
-		} else {
-			infra.RegisterObjectKey(serverOG, "account")
-		}
-	}
+	w := harness.NewWorld(harness.WorldSpec{
+		Seed: 7, Servers: 3, Clients: 1, Key: "account",
+		Servant: func(p ids.ProcessorID) orb.Servant {
+			accounts[p] = &account{owner: p}
+			return accounts[p]
+		},
+	})
 
 	// Establish the logical connection between the client and server
 	// object groups (ConnectRequest / Connect, paper section 7).
-	domainAddr := core.DefaultConfig(4).DomainAddr
-	infras[4].Connect(int64(cluster.Net.Now()), conn, domainAddr, clients)
-	if !cluster.RunUntil(10*simnet.Second, func() bool { return infras[4].Established(conn) }) {
+	if !w.Establish() {
 		panic("connection not established")
 	}
+	client := w.Infras[4]
 	fmt.Printf("connection established: %v carried by processor group %v\n",
-		conn, mustGroup(cluster, infras[4], conn))
+		w.Conn, mustGroup(w))
 
 	// Deposit in a loop; crash replica 2 after the fifth reply.
 	deposits := []int64{10, 20, 30, 40, 50, 60, 70, 80}
@@ -103,7 +77,7 @@ func main() {
 		if i >= len(deposits) {
 			return
 		}
-		err := infras[4].Call(int64(cluster.Net.Now()), conn, "deposit", amount(deposits[i]),
+		err := client.Call(int64(w.Net.Now()), w.Conn, "deposit", amount(deposits[i]),
 			func(result []byte, err error) {
 				if err != nil {
 					panic(err)
@@ -114,19 +88,19 @@ func main() {
 				fmt.Printf("deposit %3d -> balance %3d\n", deposits[i], lastBalance)
 				if done == 5 {
 					fmt.Println("-- crashing replica P2 --")
-					cluster.Crash(2)
+					w.Crash(2)
 				}
-				cluster.Net.At(cluster.Net.Now(), func() { issue(i + 1) })
+				w.Net.At(w.Net.Now(), func() { issue(i + 1) })
 			})
 		if err != nil {
 			panic(err)
 		}
 	}
-	cluster.Net.At(cluster.Net.Now(), func() { issue(0) })
-	if !cluster.RunUntil(120*simnet.Second, func() bool { return done == len(deposits) }) {
+	w.Net.At(w.Net.Now(), func() { issue(0) })
+	if !w.RunUntil(120*simnet.Second, func() bool { return done == len(deposits) }) {
 		panic(fmt.Sprintf("only %d/%d deposits completed", done, len(deposits)))
 	}
-	cluster.RunFor(simnet.Second)
+	w.RunFor(simnet.Second)
 
 	// The survivors converged on the same state; the group healed.
 	fmt.Printf("\nfinal balance from client: %d\n", lastBalance)
@@ -136,18 +110,18 @@ func main() {
 			panic("replica divergence")
 		}
 	}
-	g := infras[4].Stats()
+	g := client.Stats()
 	fmt.Printf("client saw %d replies, suppressed %d duplicates\n", g.RepliesDelivered, g.DuplicateReplies)
-	for _, f := range cluster.Host(4).Faults {
+	for _, f := range w.Host(4).Faults {
 		fmt.Printf("fault report: %v convicted in group %v\n", f.Convicted, f.Group)
 	}
-	if v, ok := cluster.Host(4).LastView(mustGroup(cluster, infras[4], conn)); ok {
+	if v, ok := w.Host(4).LastView(mustGroup(w)); ok {
 		fmt.Printf("final membership: %v (%v)\n", v.Members, v.Reason)
 	}
 }
 
-func mustGroup(c *harness.Cluster, infra *ftcorba.Infra, conn ids.ConnectionID) ids.GroupID {
-	st := c.Host(4).Node.ConnectionState(conn)
+func mustGroup(w *harness.World) ids.GroupID {
+	st := w.Host(4).Node.ConnectionState(w.Conn)
 	if st == nil {
 		panic("no connection state")
 	}

@@ -17,8 +17,8 @@ import (
 // standalone Regular), and a node with packing enabled interoperates
 // with one that has it disabled.
 type PackConfig struct {
-	// Enabled turns packing on. Off by default: the wire traffic is then
-	// byte-identical to an FTMP 1.0 sender.
+	// Enabled turns packing on. Off by default: every message then
+	// travels as a standalone Regular.
 	Enabled bool
 	// MaxCount flushes the pack at this many entries (default 32).
 	MaxCount int

@@ -101,7 +101,7 @@ func (f *Infra) encodeCheckpoint() ([]byte, error) {
 
 // restoreCheckpoint is the inverse; it applies the state to the local
 // replicas. Call after the local replicas are registered (Serve /
-// ServeRecovered), as RecoverFromWAL requires anyway.
+// ServeJoining), as RecoverFromWAL requires anyway.
 func (f *Infra) restoreCheckpoint(state []byte) error {
 	dec := giop.NewDecoder(state, false)
 	if v := dec.ULong(); dec.Err() != nil || v != checkpointVersion {

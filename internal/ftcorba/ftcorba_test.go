@@ -401,10 +401,13 @@ func TestStateTransferToNewReplica(t *testing.T) {
 			_ = w.infras[3].Call(int64(w.c.Net.Now()), conn, "deposit", amount(1), func([]byte, error) { done++ })
 		})
 	}
-	// Designated replica 1 initiates the transfer.
+	// The joiner adopts the connection and asks for its catch-up.
 	w.c.Net.At(w.c.Net.Now()+5*simnet.Millisecond, func() {
-		if err := w.infras[1].AddReplica(int64(w.c.Net.Now()), conn, serverOG); err != nil {
-			t.Errorf("AddReplica: %v", err)
+		if err := joiner.Node.AdoptConnection(conn, g); err != nil {
+			t.Errorf("AdoptConnection: %v", err)
+		}
+		if err := infra.AnnounceRecovery(int64(w.c.Net.Now()), conn); err != nil {
+			t.Errorf("AnnounceRecovery: %v", err)
 		}
 	})
 	if !w.c.RunUntil(20*simnet.Second, func() bool {
@@ -482,22 +485,6 @@ func TestCallOnUnestablishedConnection(t *testing.T) {
 	err := w.infras[3].Call(0, conn, "deposit", amount(1), func([]byte, error) {})
 	if err != ftcorba.ErrNotEstablished {
 		t.Errorf("err = %v", err)
-	}
-}
-
-func TestAddReplicaErrors(t *testing.T) {
-	servers := ids.NewMembership(1, 2)
-	clients := ids.NewMembership(3)
-	w := newWorld(t, 73, 0, servers, clients)
-	w.connect(t, 3, clients)
-	if err := w.infras[1].AddReplica(0, conn, ids.ObjectGroupID(99)); err != ftcorba.ErrNotServed {
-		t.Errorf("unknown group err = %v", err)
-	}
-	// A non-stateful servant cannot transfer state.
-	w.infras[1].Serve(ids.ObjectGroupID(30), "plain", orb.ServantFunc(
-		func(string, []byte) ([]byte, *orb.Exception) { return nil, nil }))
-	if err := w.infras[1].AddReplica(0, conn, ids.ObjectGroupID(30)); err != ftcorba.ErrNotStateful {
-		t.Errorf("non-stateful err = %v", err)
 	}
 }
 

@@ -61,7 +61,7 @@ func runCrashRecoveryScenario(t *testing.T, seed int64) []byte {
 	counterNames := []string{
 		"core.rejoin_requests", "core.readmits", "core.groups_learned",
 		"core.rejoins_completed", "ftcorba.rejoins_started",
-		"ftcorba.auto_transfers", "pgmp.convictions",
+		"ftcorba.state_chunks_sent", "pgmp.convictions",
 	}
 	before := make(map[string]uint64, len(counterNames))
 	for _, name := range counterNames {

@@ -61,7 +61,9 @@ func servePads(w *world, servers ids.Membership, padLen int) map[ids.ProcessorID
 }
 
 // joinManually runs the manual join path: joiner p subscribes to the
-// processor group and an existing member proposes its addition.
+// processor group and an existing member proposes its addition; once
+// admitted, p adopts the connection, so the survivors' announces lead it
+// to ask for its catch-up.
 func joinManually(t *testing.T, w *world, p ids.ProcessorID, proposer ids.ProcessorID) ids.GroupID {
 	t.Helper()
 	g := w.c.Host(proposer).Node.ConnectionState(conn).Group
@@ -74,11 +76,14 @@ func joinManually(t *testing.T, w *world, p ids.ProcessorID, proposer ids.Proces
 	}) {
 		t.Fatalf("processor %v never joined the group", p)
 	}
+	if err := w.c.Host(p).Node.AdoptConnection(conn, g); err != nil {
+		t.Fatal(err)
+	}
 	return g
 }
 
 // TestStreamedMultiChunkTransfer: a snapshot larger than one chunk
-// flows as a credit-windowed stream; only the marker's originator
+// flows as a credit-windowed stream; only the designated responder
 // sends; the joiner assembles the exact state.
 func TestStreamedMultiChunkTransfer(t *testing.T) {
 	servers := ids.NewMembership(1, 2)
@@ -100,7 +105,9 @@ func TestStreamedMultiChunkTransfer(t *testing.T) {
 	acct := &padAccount{}
 	w.infras[4].ServeJoining(serverOG, "account", acct)
 	joinManually(t, w, 4, 1)
-	if err := w.infras[1].AddReplica(int64(w.c.Net.Now()), conn, serverOG); err != nil {
+	// No view changes are wired here: the joiner's announce draws the
+	// survivors' watermarks.
+	if err := w.infras[4].AnnounceRecovery(int64(w.c.Net.Now()), conn); err != nil {
 		t.Fatal(err)
 	}
 	if !w.c.RunUntil(w.c.Net.Now()+30*simnet.Second, func() bool {
@@ -124,7 +131,7 @@ func TestStreamedMultiChunkTransfer(t *testing.T) {
 		t.Errorf("joiner applied %d chunks, sender sent %d; exactly-once delivery broken", applied, sent)
 	}
 	if other := w.infras[2].Stats().StateChunksSent; other != 0 {
-		t.Errorf("non-originator streamed %d chunks; only the marker's originator sends", other)
+		t.Errorf("non-responder streamed %d chunks; only the designated responder sends", other)
 	}
 	if got := len(w.infras[1].TransferProgress()); got != 0 {
 		t.Errorf("%d transfers still cached at the sender after the final ack", got)
@@ -161,7 +168,8 @@ func TestStreamedTransferSenderFailover(t *testing.T) {
 	acct := &padAccount{}
 	w.infras[5].ServeJoining(serverOG, "account", acct)
 	w.c.Host(5).OnView = w.infras[5].OnViewChange
-	// Admission triggers the designated survivor's automatic AddReplica.
+	// Admitted, the joiner asks for its catch-up; the designated
+	// survivor streams it.
 	joinManually(t, w, 5, 1)
 	// Kill the streaming sender once a good part of the stream is staged
 	// and acknowledged.
@@ -231,7 +239,8 @@ func TestJoinerRestartResumesStream(t *testing.T) {
 	acct := &padAccount{}
 	w.infras[4].ServeJoining(serverOG, "account", acct)
 	w.infras[4].AttachWAL(l4, func(err error) { t.Errorf("joiner wal: %v", err) })
-	// Admission triggers the designated survivor's automatic AddReplica.
+	// Admitted, the joiner asks for its catch-up; the designated
+	// survivor streams it.
 	joinManually(t, w, 4, 1)
 	if !w.c.RunUntil(w.c.Net.Now()+30*simnet.Second, func() bool {
 		return w.infras[4].Stats().StateChunksApplied >= 8
@@ -267,14 +276,14 @@ func TestJoinerRestartResumesStream(t *testing.T) {
 	h.OnView = infra.OnViewChange
 	acct2 := &padAccount{}
 	l, rec := openWAL(t, fs4)
-	infra.ServeRecovered(serverOG, "account", acct2)
+	infra.ServeJoining(serverOG, "account", acct2)
 	infra.AttachWAL(l, func(err error) { t.Errorf("replacement wal: %v", err) })
 	rcv := infra.RecoverFromWAL(rec.Records)
 	if uint64(rcv.StagedChunks) != staged {
 		t.Fatalf("recovered %d staged chunks, want %d", rcv.StagedChunks, staged)
 	}
 	h.Node.RecoverClock(rcv.MaxTS)
-	infra.RejoinWithWAL(int64(w.c.Net.Now()), conn, serverOG, "account", acct2, core.DefaultConfig(5).DomainAddr)
+	infra.Rejoin(int64(w.c.Net.Now()), conn, serverOG, "account", acct2, core.DefaultConfig(5).DomainAddr)
 
 	if !w.c.RunUntil(w.c.Net.Now()+60*simnet.Second, func() bool { return !infra.Joining(serverOG) }) {
 		t.Fatalf("resumed rejoin never completed: stats=%+v progress=%+v",
@@ -486,7 +495,7 @@ func TestCompactWALBoundsRecovery(t *testing.T) {
 		}
 		infra := w2.infras[p]
 		if servers.Contains(p) {
-			infra.ServeRecovered(serverOG, "account", w2.accounts[p])
+			infra.ServeJoining(serverOG, "account", w2.accounts[p])
 		}
 		infra.AttachWAL(l, func(err error) { t.Errorf("proc %v wal: %v", p, err) })
 		rcvs[p] = infra.RecoverFromWAL(rec.Records)

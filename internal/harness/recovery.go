@@ -88,7 +88,7 @@ func E4Failover(sizes []int, timeouts []simnet.Time) *trace.Table {
 // The paper's recovery story (sections 3 and 7) ends at the new
 // membership; this repository adds the rest of the pipeline — adaptive
 // failure detection, backoff-paced rejoin probing, auto-readmission and
-// automatic state transfer — and E10 measures it: how long from the
+// the joiner's catch-up — and E10 measures it: how long from the
 // crash until (a) the survivors convict the dead replica, (b) a
 // replacement processor is readmitted, and (c) the replacement has its
 // state snapshot and is serving, as a function of request load and of
@@ -526,9 +526,10 @@ func RunE15Rejoin(scenario string, padBytes int, seed int64) E15RejoinResult {
 	}
 	resumesBefore := trace.Counter("ftcorba.xfer_failovers")
 
-	// Joiner 5 enters through the manual admission path; its view-change
-	// wiring makes the designated survivor start the transfer
-	// automatically on the admission view.
+	// Joiner 5 enters through the manual admission path and adopts the
+	// connection; the survivors' announces lead it to ask for its
+	// catch-up, and the designated survivor streams the snapshot cut at
+	// that request.
 	joiner, infra5 := &paddedLedger{}, w.Infras[5]
 	infra5.ServeJoining(expServerOG, "ledger", joiner)
 	w.Host(5).Node.ListenGroup(g)
@@ -541,6 +542,9 @@ func RunE15Rejoin(scenario string, padBytes int, seed int64) E15RejoinResult {
 		return res
 	}
 	admitAt := w.Net.Now()
+	if w.Host(5).Node.AdoptConnection(w.Conn, g) != nil {
+		return res
+	}
 
 	if scenario == E15SenderKill {
 		// Let the stream get going, then kill the designated sender:

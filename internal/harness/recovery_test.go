@@ -27,9 +27,6 @@ func TestE4FailoverShape(t *testing.T) {
 func TestE10CaughtUp(t *testing.T) {
 	for row, policy := range []string{"fixed", "adaptive"} {
 		t.Run(policy, func(t *testing.T) {
-			if policy == "fixed" {
-				t.Skip("red with the shipped fixed policy: the replacement is readmitted but never caught up")
-			}
 			r := RunE10Recovery(policy == "adaptive", 10*simnet.Millisecond, SeedOffset+1010+int64(row))
 			if r.CatchupMs < 0 {
 				t.Errorf("the replacement never caught up: %+v", r)

@@ -295,8 +295,8 @@ func (l *logged) String() string {
 
 // TestCompactEveryBothKinds fills a raw host's log and a CORBA
 // replica's past two segments and requires CompactEvery to checkpoint
-// each: the raw one through wal.Compactor (a restart then replays only
-// the suffix), the replica through Infra.CompactWAL.
+// each under the one rule: the raw one with an empty state (a restart
+// then replays only the suffix), the replica through Infra.CompactWAL.
 func TestCompactEveryBothKinds(t *testing.T) {
 	const n, size = 3200, 4 << 10 // 12.5 MiB: past two 4 MiB segments
 	value := string(make([]byte, size))

@@ -101,6 +101,8 @@ type sourceState struct {
 	retMinTS ids.Timestamp
 	// retMinValid is false when retained is empty or retMinTS is stale.
 	retMinValid bool
+	// departed: p was removed from the group (DropSource).
+	departed bool
 }
 
 // retain moves h into the retained buffer, maintaining the retMinTS
@@ -186,6 +188,18 @@ func (l *Layer) DropSource(p ids.ProcessorID) {
 	if s, ok := l.sources[p]; ok {
 		s.nackAt = 0
 		s.pending = make(map[ids.SeqNum]*Held)
+		s.departed = true
+	}
+}
+
+// Readmitted starts the state of a dropped source p over when p is
+// admitted again under the same id (a healed minority member): its new
+// incarnation numbers its messages from 1, and the old one's are all
+// behind the admission cut. Whatever the new incarnation sent before
+// this point was discarded as a duplicate and is repaired by NACK.
+func (l *Layer) Readmitted(p ids.ProcessorID) {
+	if s, ok := l.sources[p]; ok && s.departed {
+		l.sources[p] = newSourceState()
 	}
 }
 

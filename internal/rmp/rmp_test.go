@@ -349,6 +349,28 @@ func TestDropSource(t *testing.T) {
 	}
 }
 
+// TestReadmittedStartsOver: a source dropped and admitted again under
+// its old id numbers its messages from 1 again; without the restart its
+// new messages read as duplicates of the old incarnation's. Readmitting
+// a source that never departed changes nothing.
+func TestReadmittedStartsOver(t *testing.T) {
+	l := newLayer()
+	for i := ids.SeqNum(1); i <= 3; i++ {
+		m, raw := mk(t, peer, i, "old")
+		l.Receive(m, raw, 0)
+	}
+	l.Readmitted(peer)
+	if got := l.Contiguous(peer); got != 3 {
+		t.Fatalf("readmitting a present source reset it: contiguous %d, want 3", got)
+	}
+	l.DropSource(peer)
+	l.Readmitted(peer)
+	m, raw := mk(t, peer, 1, "new")
+	if got := l.Receive(m, raw, 0); len(got) != 1 || got[0].Seq != 1 {
+		t.Fatalf("the new incarnation's first message delivered %d, want it", len(got))
+	}
+}
+
 func TestSeqVector(t *testing.T) {
 	l := newLayer()
 	m1, r1 := mk(t, peer, 1, "a")

@@ -190,54 +190,11 @@ func (l *Log) repairCompactTear() error {
 	return nil
 }
 
-// CompactorConfig parameterizes a Compactor.
-type CompactorConfig struct {
-	// Log is the log to compact. Required.
-	Log *Log
-	// Snapshot captures the application state at a stability cut: it
-	// returns the cut (0 if no cut is known yet), the serialized state
-	// covering everything at or below it, and records that must survive
-	// compaction (current membership epochs). Required.
-	Snapshot func() (cut ids.Timestamp, state []byte, retain []Record, err error)
-}
-
-// Compactor drives periodic checkpoint-and-truncate over a Log, keyed
-// to the group's ack-timestamp stability cut: only records at or below
-// the cut are covered by the snapshot, so compaction never outruns what
-// the group has made stable.
-type Compactor struct {
-	cfg     CompactorConfig
-	lastCut ids.Timestamp
-}
-
-// NewCompactor returns a Compactor over cfg.
-func NewCompactor(cfg CompactorConfig) *Compactor {
-	c := &Compactor{cfg: cfg}
-	if cut, ok := cfg.Log.LastCheckpoint(); ok {
-		c.lastCut = cut
-	}
-	return c
-}
-
-// MaybeCompact checkpoints and truncates if the log holds more than two
-// segments (compacting a shorter one trades a checkpoint write for
-// nothing) and the stability cut has advanced since the last
-// checkpoint. Returns whether a compaction ran. An error leaves the log
-// appendable (see Compact); callers retry on the next tick.
-func (c *Compactor) MaybeCompact() (bool, error) {
-	if c.cfg.Log.Segments() <= 2 {
-		return false, nil
-	}
-	cut, state, retain, err := c.cfg.Snapshot()
-	if err != nil {
-		return false, err
-	}
-	if cut == 0 || cut <= c.lastCut {
-		return false, nil
-	}
-	if err := c.cfg.Log.Compact(cut, state, retain); err != nil {
-		return false, err
-	}
-	c.lastCut = cut
-	return true, nil
+// CompactDue is the compaction rule: a checkpoint at the stability cut
+// is worth writing when the log holds more than two segments
+// (compacting a shorter one trades a checkpoint write for nothing) and
+// the cut has advanced past the last checkpoint, so compaction never
+// outruns what the group has made stable nor repeats itself.
+func (l *Log) CompactDue(cut ids.Timestamp) bool {
+	return l.Segments() > 2 && cut > l.ckptCut
 }

@@ -269,23 +269,24 @@ func TestCompactorDrivenByStabilityCut(t *testing.T) {
 	l := fillLog(t, fs, 40)
 	cut := ids.Timestamp(0)
 	snaps := 0
-	c := NewCompactor(CompactorConfig{
-		Log: l,
-		Snapshot: func() (ids.Timestamp, []byte, []Record, error) {
-			snaps++
-			return cut, []byte(fmt.Sprintf("state@%d", cut)), nil, nil
-		},
-	})
+	// maybeCompact is the host's loop step: the rule, then the checkpoint.
+	maybeCompact := func() (bool, error) {
+		if !l.CompactDue(cut) {
+			return false, nil
+		}
+		snaps++
+		return true, l.Compact(cut, []byte(fmt.Sprintf("state@%d", cut)), nil)
+	}
 	// No stability cut yet: nothing to cover, nothing compacts.
-	if ran, err := c.MaybeCompact(); err != nil || ran {
+	if ran, err := maybeCompact(); err != nil || ran {
 		t.Fatalf("compacted with no cut: %v, %v", ran, err)
 	}
 	cut = ids.MakeTimestamp(100, 1)
-	if ran, err := c.MaybeCompact(); err != nil || !ran {
+	if ran, err := maybeCompact(); err != nil || !ran {
 		t.Fatalf("cut advanced but no compaction: %v, %v", ran, err)
 	}
 	// Same cut again: nothing new is stable, skip.
-	if ran, err := c.MaybeCompact(); err != nil || ran {
+	if ran, err := maybeCompact(); err != nil || ran {
 		t.Fatalf("re-compacted at an unchanged cut: %v, %v", ran, err)
 	}
 	// Two segments or fewer: skip even with a newer cut.
@@ -293,7 +294,7 @@ func TestCompactorDrivenByStabilityCut(t *testing.T) {
 	if l.Segments() > 2 {
 		t.Skipf("log still has %d segments", l.Segments())
 	}
-	if ran, err := c.MaybeCompact(); err != nil || ran {
+	if ran, err := maybeCompact(); err != nil || ran {
 		t.Fatalf("compacted a short log: %v, %v", ran, err)
 	}
 	if snaps == 0 {

@@ -17,29 +17,15 @@ import (
 // ("magic is set to FTMP", paper section 3.2).
 var Magic = [4]byte{'F', 'T', 'M', 'P'}
 
-// Protocol version ("FTMP version is set to 1.0"). Minor version 1 adds
-// the Packed container type; messages of the original nine types are
-// still emitted as 1.0, so a non-packing peer sees wire-identical
-// traffic. Decoders accept any minor version up to VersionMinorMax.
+// Protocol version. The paper sets "FTMP version ... to 1.0"; this
+// implementation speaks 1.3: 1.1 added the Packed container, 1.2 the view
+// lineage on Membership frames, 1.3 the SeqData and SeqAssign frames of
+// leader-assigned ordering. Every frame carries VersionMinor, and a
+// decoder accepts exactly that minor: a body of another minor version
+// could decode as garbage.
 const (
 	VersionMajor = 1
-	VersionMinor = 0
-	// VersionMinorPacked is the minor version stamped on Packed frames,
-	// the first type introduced after 1.0.
-	VersionMinorPacked = 1
-	// VersionMinorLineage is the minor version stamped on Membership
-	// frames, which carry a view lineage (epoch + predecessor view
-	// timestamp) since 1.2. Other types are still emitted as before, so
-	// traffic that never proposes a membership is byte-identical to a
-	// 1.0/1.1 sender.
-	VersionMinorLineage = 2
-	// VersionMinorSeq is the minor version stamped on SeqData and
-	// SeqAssign frames, the leader-follower ordering mode (FTMP 1.3).
-	// Groups running in Lamport mode never emit them, so their traffic
-	// stays byte-identical to a 1.2 sender.
-	VersionMinorSeq = 3
-	// VersionMinorMax is the highest minor version this decoder accepts.
-	VersionMinorMax = VersionMinorSeq
+	VersionMinor = 3
 )
 
 // HeaderSize is the encoded size of the FTMP header in bytes.
@@ -223,24 +209,12 @@ func (h *Header) order() binary.ByteOrder {
 	return binary.BigEndian
 }
 
-// minorByType is the minor protocol version each message type appeared
-// in: Header.encode stamps it, and DecodeHeader accepts nothing lower for
-// that type. 1.1 for Packed, 1.2 for Membership (which carries the view
-// lineage since 1.2), 1.3 for the sequencing frames, 1.0 for everything
-// else, keeping plain traffic byte-identical to a 1.0 sender.
-var minorByType = [numTypes]byte{
-	TypePacked:     VersionMinorPacked,
-	TypeMembership: VersionMinorLineage,
-	TypeSeqData:    VersionMinorSeq,
-	TypeSeqAssign:  VersionMinorSeq,
-}
-
 // encode writes the header into buf, which must be at least HeaderSize
 // bytes. The Size field must already be set.
 func (h *Header) encode(buf []byte) {
 	copy(buf[0:4], Magic[:])
 	buf[4] = VersionMajor
-	buf[5] = minorByType[h.Type]
+	buf[5] = VersionMinor
 	var flags byte
 	if h.LittleEndian {
 		flags |= 0x01
@@ -268,7 +242,7 @@ func DecodeHeader(buf []byte) (Header, error) {
 	if [4]byte(buf[0:4]) != Magic {
 		return h, ErrBadMagic
 	}
-	if buf[4] != VersionMajor || buf[5] > VersionMinorMax {
+	if buf[4] != VersionMajor || buf[5] != VersionMinor {
 		return h, fmt.Errorf("%w: %d.%d", ErrBadVersion, buf[4], buf[5])
 	}
 	flags := buf[6]
@@ -277,13 +251,6 @@ func DecodeHeader(buf []byte) (Header, error) {
 	h.Type = MsgType(buf[7])
 	if !h.Type.Valid() {
 		return h, fmt.Errorf("%w: %d", ErrBadType, buf[7])
-	}
-	if floor := minorByType[h.Type]; buf[5] < floor {
-		// The type did not exist (Packed, SeqData, SeqAssign) or had a
-		// different body (Membership before the 1.2 view lineage) in that
-		// minor version: the frame is corrupt, or would decode as garbage.
-		return h, fmt.Errorf("%w: %v requires 1.%d, got 1.%d",
-			ErrBadVersion, h.Type, floor, buf[5])
 	}
 	bo := h.order()
 	h.Size = bo.Uint32(buf[8:12])
