@@ -8,6 +8,7 @@ import (
 	"ftmp/internal/harness"
 	"ftmp/internal/ids"
 	"ftmp/internal/simnet"
+	"ftmp/internal/wire"
 )
 
 const g1 = ids.GroupID(100)
@@ -314,6 +315,54 @@ func TestAddProcessor(t *testing.T) {
 			t.Errorf("suffix order differs at %d: %q vs %q", i, tail[i], newSeq[i])
 		}
 	}
+}
+
+// A joiner that multicasts the instant it is admitted reaches members
+// that have not yet ordered its AddProcessor. They hold the message
+// until they do, instead of dropping it for NACK repair.
+func TestJoinerSpeaksAtAdmission(t *testing.T) {
+	const joiner = ids.ProcessorID(4)
+	c := harness.NewCluster(harness.Options{Seed: 1501, Net: simnet.NewConfig()}, 1, 2, 3, joiner)
+	c.CreateGroup(g1, ids.NewMembership(1, 2, 3))
+	c.RunFor(20 * simnet.Millisecond)
+	nacks := 0
+	c.Net.SetDropFilter(func(_, _ simnet.NodeID, data []byte) bool {
+		if m, err := wire.Decode(data); err == nil {
+			if rr, ok := m.Body.(*wire.RetransmitRequest); ok && rr.Proc == joiner {
+				nacks++
+			}
+		}
+		return false
+	})
+	var spokeAt simnet.Time
+	c.Host(joiner).OnView = func(v core.ViewChange, _ int64) {
+		if spokeAt == 0 && v.Joined.Contains(joiner) {
+			spokeAt = c.Net.Now()
+			c.Net.At(spokeAt, func() {
+				if err := c.Multicast(joiner, g1, "first"); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+	c.Host(joiner).Node.ListenGroup(g1)
+	if err := c.Host(2).Node.RequestAddProcessor(int64(c.Net.Now()), g1, joiner); err != nil {
+		t.Fatal(err)
+	}
+	full := ids.NewMembership(1, 2, 3, joiner)
+	if !c.RunUntil(c.Net.Now()+simnet.Second, c.AllDelivered(g1, full, 1)) {
+		t.Fatal("the joiner's first message was never delivered everywhere")
+	}
+	for _, p := range full {
+		d := c.Host(p).Deliveries[0]
+		if string(d.Payload) != "first" {
+			t.Fatalf("%v delivered %q first", p, d.Payload)
+		}
+	}
+	if nacks != 0 {
+		t.Errorf("%d retransmit requests for the joiner's messages, want 0", nacks)
+	}
+	t.Logf("delivered everywhere %v after the joiner spoke", c.Net.Now()-spokeAt)
 }
 
 func TestRemoveProcessor(t *testing.T) {

@@ -24,10 +24,10 @@ import (
 //
 // What a checkpoint deliberately does NOT carry is the message log
 // below the cut: a peer reconciling from a watermark the trimmed log no
-// longer covers falls back to the streamed full-state transfer
-// (sendSnapshot), which the checkpointed servant state can always
-// serve. Compaction trades delta coverage for bounded disk and bounded
-// recovery, never correctness.
+// longer covers is answered with _ft_get_delta's watermark-0 snapshot,
+// which the checkpointed servant state can always serve. Compaction
+// trades delta coverage for bounded disk and bounded recovery, never
+// correctness.
 //
 // Call CompactWAL from a quiescent point with respect to deliveries —
 // the same discipline as every other Infra method (single delivery

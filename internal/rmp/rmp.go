@@ -196,11 +196,14 @@ func (l *Layer) DropSource(p ids.ProcessorID) {
 // admitted again under the same id (a healed minority member): its new
 // incarnation numbers its messages from 1, and the old one's are all
 // behind the admission cut. Whatever the new incarnation sent before
-// this point was discarded as a duplicate and is repaired by NACK.
-func (l *Layer) Readmitted(p ids.ProcessorID) {
+// this point was discarded as a duplicate and is repaired by NACK. It
+// reports whether p had departed.
+func (l *Layer) Readmitted(p ids.ProcessorID) bool {
 	if s, ok := l.sources[p]; ok && s.departed {
 		l.sources[p] = newSourceState()
+		return true
 	}
+	return false
 }
 
 // NoteSent records a message this processor originated, so it can answer

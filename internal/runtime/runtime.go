@@ -71,8 +71,9 @@ const (
 // loss. Variables only so that the overflow stress test can shrink
 // them (export_test.go).
 var (
-	// rxRingSlots is the receive ring capacity, a power of two.
-	rxRingSlots = 4096
+	// rxRingSlots is the receive ring capacity, a power of two: four
+	// loop turns, room for the readers while the loop is in a commit.
+	rxRingSlots = 4 * rxBurstMax
 	// sendShardDepth bounds each send shard's queue.
 	sendShardDepth = 1024
 )
