@@ -1,7 +1,7 @@
 // Command ftmpbench regenerates the paper-reproduction record in
 // EXPERIMENTS.md: the paper's structural figures (2 and 3) and the
-// experiments that compare protocols and protocol modes, E1-E13, E15,
-// E17 and A1-A3 (see DESIGN.md for the experiment index). How fast the
+// experiments that compare protocols and protocol modes, E1-E13, E15
+// and A1-A3 (see DESIGN.md for the experiment index). How fast the
 // implementation runs on a wall clock is benchmark/'s question, not
 // this command's.
 //
@@ -12,8 +12,6 @@
 //	ftmpbench -quick          # reduced sizes (CI smoke)
 //	ftmpbench -json           # machine-readable output (see EXPERIMENTS.md)
 //	ftmpbench -pprof :6060    # serve net/http/pprof while running
-//	ftmpbench -exp e17 -order both
-//	                          # leader vs Lamport ordering latency
 //	ftmpbench -exp e15b       # e15's simulated table alone (the golden
 //	                          # files hold it; "all" prints it under e15)
 package main
@@ -62,12 +60,11 @@ type experiment struct {
 
 func main() {
 	var (
-		expFlag   = flag.String("exp", "all", "comma-separated experiments: fig2,fig3,e1..e13,e15,e17,a1,a2,a3 or all")
+		expFlag   = flag.String("exp", "all", "comma-separated experiments: fig2,fig3,e1..e13,e15,a1,a2,a3 or all")
 		quick     = flag.Bool("quick", false, "reduced sizes for a fast smoke run")
 		seed      = flag.Int64("seed", 0, "offset added to every experiment seed (0 reproduces EXPERIMENTS.md)")
 		jsonFlag  = flag.Bool("json", false, "emit one JSON document instead of text tables")
 		pprofAddr = flag.String("pprof", "", "serve net/http/pprof on this address while the suite runs")
-		orderFlag = flag.String("order", "both", "e17: ordering modes to measure (both, lamport or leader)")
 	)
 	flag.Parse()
 	harness.SeedOffset = *seed
@@ -89,7 +86,7 @@ func main() {
 
 	doc := jsonDoc{Schema: "ftmpbench/4", SeedOffset: *seed, Quick: *quick}
 	ran := 0
-	for _, e := range experiments(*quick, *orderFlag) {
+	for _, e := range experiments(*quick) {
 		if !want[e.name] && (!want["all"] || e.name == "e15b") {
 			continue
 		}
@@ -108,7 +105,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matched %q; known: fig2 fig3 e1..e13 e15 e17 a1 a2 a3 all\n", *expFlag)
+		fmt.Fprintf(os.Stderr, "no experiment matched %q; known: fig2 fig3 e1..e13 e15 a1 a2 a3 all\n", *expFlag)
 		os.Exit(2)
 	}
 	if *jsonFlag {
@@ -138,8 +135,8 @@ func ms(v ...simnet.Time) []simnet.Time {
 }
 
 // experiments is the experiment table in print order, at full size or
-// at -quick's reduced sizes. order is -order, which only e17 reads.
-func experiments(quick bool, order string) []experiment {
+// at -quick's reduced sizes.
+func experiments(quick bool) []experiment {
 	msgs := 50
 	e1Sizes := []int{2, 4, 8, 16}
 	e2Sizes := []int{64, 256, 1024, 4096, 8192}
@@ -160,8 +157,6 @@ func experiments(quick bool, order string) []experiment {
 	e12Msgs := 4000
 	e12IdleMaxes := ms(0, 25, 100)
 	e13Runs, e13Ops := 3, 10
-	e17Msgs := 6000
-	e17Rate := 2000.0
 	e15Sizes := []int{1000, 10000, 100000}
 	e15Every := 1000
 	e15Payload := 256
@@ -186,7 +181,6 @@ func experiments(quick bool, order string) []experiment {
 		e12Msgs = 1000
 		e12IdleMaxes = ms(0, 25)
 		e13Runs, e13Ops = 1, 5
-		e17Msgs = 800
 		e15Sizes = []int{500, 5000}
 		e15Every = 250
 		e15Pad = 128 * 1024
@@ -229,11 +223,6 @@ func experiments(quick bool, order string) []experiment {
 			tb := harness.E13Partition(e13Runs, e13Ops)
 			return []*trace.Table{tb, trace.CountersTable("e13 partition counters")}
 		}},
-		{"e17", one(func() *trace.Table {
-			// E17 compares the two total-order modes on the real runtime
-			// (UDP loopback + fsync); it resets counters per run itself.
-			return harness.E17LeaderLatency(e17Msgs, e17Rate, order)
-		})},
 		{"e15", func() []*trace.Table {
 			// E15 exercises the compaction + streamed-transfer robustness
 			// machinery; report the counters it leaves behind.

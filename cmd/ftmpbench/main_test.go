@@ -8,8 +8,8 @@ import (
 )
 
 // simulated names the experiments that run on the deterministic
-// simulated network: same seed, byte-identical tables. E11, E15a and E17
-// touch a real disk or a real clock and are left out; e15b is E15's
+// simulated network: same seed, byte-identical tables. E11 and E15a
+// touch a real disk and a real clock and are left out; e15b is E15's
 // simulated table on its own.
 const simulated = "fig2,fig3,e1,e2,e3,e4,e5,e6,e7,e8,e9,e10,e12,e13,e15b,a1,a2,a3"
 
@@ -38,7 +38,7 @@ func TestSimulatedOutputGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got bytes.Buffer
-		for _, e := range experiments(tc.quick, "") {
+		for _, e := range experiments(tc.quick) {
 			if sim[e.name] {
 				printText(&got, e)
 			}

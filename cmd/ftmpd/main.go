@@ -81,7 +81,7 @@ func main() {
 		walDir    = flag.String("wal-dir", "", "directory for the write-ahead log (empty: no durability)")
 		fsyncPol  = flag.String("fsync", "always", "WAL fsync policy: always, interval or never")
 		packFlag  = flag.Bool("pack", false, "pack small messages into FTMP 1.1 Packed containers")
-		orderFlag = flag.String("order", "lamport",
+		orderName = flag.String("order", "lamport",
 			"total-order mode: lamport (symmetric timestamp order) or leader (FTMP 1.3 leader-assigned sequencing; all members must agree)")
 		quorum = flag.Bool("quorum", false,
 			"primary-partition membership: only install views containing a quorum of the previous view; a minority component wedges instead of splitting the brain")
@@ -114,7 +114,7 @@ func main() {
 		cfg.Pack = core.DefaultPackConfig()
 	}
 	cfg.PGMP.PrimaryPartition = *quorum
-	order, err := core.ParseOrderMode(*orderFlag)
+	order, err := core.ParseOrderMode(*orderName)
 	if err != nil {
 		fatal("%v", err)
 	}

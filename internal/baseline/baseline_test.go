@@ -1,41 +1,34 @@
-// Package baseline_test exercises both comparison protocols through the
-// simulated network, asserting the same reliable-totally-ordered
-// contract FTMP provides (for the fault-free, static-membership scope
-// the baselines cover).
+// Package baseline_test exercises the token-ring comparison protocol
+// through the simulated network, asserting the same reliable-totally-
+// ordered contract FTMP provides (for the fault-free, static-membership
+// scope the baseline covers). The contract tests run under the name the
+// ring has in the harness's comparisons, "tokenring".
 package baseline_test
 
 import (
 	"fmt"
 	"testing"
 
-	"ftmp/internal/baseline/sequencer"
 	"ftmp/internal/baseline/tokenring"
 	"ftmp/internal/ids"
 	"ftmp/internal/simnet"
 )
 
-// proto abstracts the two baselines for shared tests.
-type proto interface {
-	Multicast(now int64, payload []byte) error
-	HandlePacket(data []byte, now int64)
-	Tick(now int64)
-}
-
 type fleet struct {
 	net       *simnet.Net
-	nodes     map[ids.ProcessorID]proto
+	nodes     map[ids.ProcessorID]*tokenring.Node
 	delivered map[ids.ProcessorID][]string
 }
 
 const groupAddr = simnet.Addr(500)
 
-func newFleet(t *testing.T, seed int64, loss float64, build func(p ids.ProcessorID, m ids.Membership, transmit func([]byte), deliver func(ids.ProcessorID, []byte, int64)) proto, n int) *fleet {
+func newFleet(t *testing.T, seed int64, loss float64, n int) *fleet {
 	t.Helper()
 	cfg := simnet.NewConfig()
 	cfg.LossRate = loss
 	f := &fleet{
 		net:       simnet.New(seed, cfg),
-		nodes:     make(map[ids.ProcessorID]proto),
+		nodes:     make(map[ids.ProcessorID]*tokenring.Node),
 		delivered: make(map[ids.ProcessorID][]string),
 	}
 	var members ids.Membership
@@ -48,7 +41,7 @@ func newFleet(t *testing.T, seed int64, loss float64, build func(p ids.Processor
 		deliver := func(src ids.ProcessorID, payload []byte, now int64) {
 			f.delivered[p] = append(f.delivered[p], string(payload))
 		}
-		node := build(p, members, transmit, deliver)
+		node := tokenring.New(p, members, tokenring.DefaultConfig(), transmit, deliver)
 		f.nodes[p] = node
 		f.net.AddNode(simnet.NodeID(p), simnet.EndpointFunc{
 			OnPacket: func(data []byte, _ simnet.Addr, now int64) { node.HandlePacket(data, now) },
@@ -57,21 +50,6 @@ func newFleet(t *testing.T, seed int64, loss float64, build func(p ids.Processor
 		f.net.Subscribe(simnet.NodeID(p), groupAddr)
 	}
 	return f
-}
-
-func buildSequencer(p ids.ProcessorID, m ids.Membership, transmit func([]byte), deliver func(ids.ProcessorID, []byte, int64)) proto {
-	return sequencer.New(p, m, sequencer.DefaultConfig(), transmit, deliver)
-}
-
-func buildRing(p ids.ProcessorID, m ids.Membership, transmit func([]byte), deliver func(ids.ProcessorID, []byte, int64)) proto {
-	return tokenring.New(p, m, tokenring.DefaultConfig(), transmit, deliver)
-}
-
-func builders() map[string]func(ids.ProcessorID, ids.Membership, func([]byte), func(ids.ProcessorID, []byte, int64)) proto {
-	return map[string]func(ids.ProcessorID, ids.Membership, func([]byte), func(ids.ProcessorID, []byte, int64)) proto{
-		"sequencer": buildSequencer,
-		"tokenring": buildRing,
-	}
 }
 
 func (f *fleet) allDelivered(n int, count int) func() bool {
@@ -102,94 +80,68 @@ func (f *fleet) assertAgreement(t *testing.T, n int) {
 }
 
 func TestTotalOrderCleanNetwork(t *testing.T) {
-	for name, build := range builders() {
-		t.Run(name, func(t *testing.T) {
-			const n, burst = 4, 10
-			f := newFleet(t, 1, 0, build, n)
-			for i := 0; i < burst; i++ {
-				for p := 1; p <= n; p++ {
-					p, i := p, i
-					f.net.At(simnet.Time(i)*simnet.Millisecond, func() {
-						_ = f.nodes[ids.ProcessorID(p)].Multicast(int64(f.net.Now()), []byte(fmt.Sprintf("%d:%d", p, i)))
-					})
-				}
+	t.Run("tokenring", func(t *testing.T) {
+		const n, burst = 4, 10
+		f := newFleet(t, 1, 0, n)
+		for i := 0; i < burst; i++ {
+			for p := 1; p <= n; p++ {
+				p, i := p, i
+				f.net.At(simnet.Time(i)*simnet.Millisecond, func() {
+					_ = f.nodes[ids.ProcessorID(p)].Multicast(int64(f.net.Now()), []byte(fmt.Sprintf("%d:%d", p, i)))
+				})
 			}
-			if !f.net.RunUntil(5*simnet.Second, f.allDelivered(n, n*burst)) {
-				for p := 1; p <= n; p++ {
-					t.Logf("P%d: %d delivered", p, len(f.delivered[ids.ProcessorID(p)]))
-				}
-				t.Fatal("not all delivered")
+		}
+		if !f.net.RunUntil(5*simnet.Second, f.allDelivered(n, n*burst)) {
+			for p := 1; p <= n; p++ {
+				t.Logf("P%d: %d delivered", p, len(f.delivered[ids.ProcessorID(p)]))
 			}
-			f.assertAgreement(t, n)
-		})
-	}
+			t.Fatal("not all delivered")
+		}
+		f.assertAgreement(t, n)
+	})
 }
 
 func TestTotalOrderUnderLoss(t *testing.T) {
-	for name, build := range builders() {
-		t.Run(name, func(t *testing.T) {
-			const n, burst = 3, 15
-			f := newFleet(t, 7, 0.10, build, n)
-			for i := 0; i < burst; i++ {
-				for p := 1; p <= n; p++ {
-					p, i := p, i
-					f.net.At(simnet.Time(i)*2*simnet.Millisecond, func() {
-						_ = f.nodes[ids.ProcessorID(p)].Multicast(int64(f.net.Now()), []byte(fmt.Sprintf("%d:%d", p, i)))
-					})
-				}
+	t.Run("tokenring", func(t *testing.T) {
+		const n, burst = 3, 15
+		f := newFleet(t, 7, 0.10, n)
+		for i := 0; i < burst; i++ {
+			for p := 1; p <= n; p++ {
+				p, i := p, i
+				f.net.At(simnet.Time(i)*2*simnet.Millisecond, func() {
+					_ = f.nodes[ids.ProcessorID(p)].Multicast(int64(f.net.Now()), []byte(fmt.Sprintf("%d:%d", p, i)))
+				})
 			}
-			if !f.net.RunUntil(30*simnet.Second, f.allDelivered(n, n*burst)) {
-				for p := 1; p <= n; p++ {
-					t.Logf("P%d: %d delivered", p, len(f.delivered[ids.ProcessorID(p)]))
-				}
-				t.Fatalf("%s: reliable delivery failed under loss", name)
+		}
+		if !f.net.RunUntil(30*simnet.Second, f.allDelivered(n, n*burst)) {
+			for p := 1; p <= n; p++ {
+				t.Logf("P%d: %d delivered", p, len(f.delivered[ids.ProcessorID(p)]))
 			}
-			f.assertAgreement(t, n)
-		})
-	}
+			t.Fatal("reliable delivery failed under loss")
+		}
+		f.assertAgreement(t, n)
+	})
 }
 
 func TestSingleSenderLatencyPath(t *testing.T) {
-	for name, build := range builders() {
-		t.Run(name, func(t *testing.T) {
-			const n = 3
-			f := newFleet(t, 11, 0, build, n)
-			f.net.Run(20 * simnet.Millisecond) // let the ring/token settle
-			_ = f.nodes[2].Multicast(int64(f.net.Now()), []byte("one"))
-			if !f.net.RunUntil(simnet.Second, f.allDelivered(n, 1)) {
-				t.Fatal("single message not delivered")
-			}
-			f.assertAgreement(t, n)
-		})
-	}
-}
-
-func TestSequencerStats(t *testing.T) {
-	f := newFleet(t, 13, 0, buildSequencer, 3)
-	_ = f.nodes[2].Multicast(0, []byte("x"))
-	f.net.RunUntil(simnet.Second, f.allDelivered(3, 1))
-	seqNode := f.nodes[1].(*sequencer.Node)
-	if !seqNode.IsSequencer() {
-		t.Error("lowest id is not sequencer")
-	}
-	if seqNode.Stats().Ordered != 1 {
-		t.Errorf("sequencer ordered %d", seqNode.Stats().Ordered)
-	}
-	member := f.nodes[2].(*sequencer.Node)
-	if member.IsSequencer() {
-		t.Error("member 2 believes it is the sequencer")
-	}
-	if member.Stats().Sent != 1 || member.Stats().Delivered != 1 {
-		t.Errorf("member stats = %+v", member.Stats())
-	}
+	t.Run("tokenring", func(t *testing.T) {
+		const n = 3
+		f := newFleet(t, 11, 0, n)
+		f.net.Run(20 * simnet.Millisecond) // let the token settle
+		_ = f.nodes[2].Multicast(int64(f.net.Now()), []byte("one"))
+		if !f.net.RunUntil(simnet.Second, f.allDelivered(n, 1)) {
+			t.Fatal("single message not delivered")
+		}
+		f.assertAgreement(t, n)
+	})
 }
 
 func TestTokenRingRotatesWhenIdle(t *testing.T) {
-	f := newFleet(t, 17, 0, buildRing, 3)
+	f := newFleet(t, 17, 0, 3)
 	f.net.Run(100 * simnet.Millisecond)
 	passes := uint64(0)
 	for p := 1; p <= 3; p++ {
-		passes += f.nodes[ids.ProcessorID(p)].(*tokenring.Node).Stats().TokenPasses
+		passes += f.nodes[ids.ProcessorID(p)].Stats().TokenPasses
 	}
 	if passes < 10 {
 		t.Errorf("token passed only %d times while idle", passes)
@@ -198,7 +150,7 @@ func TestTokenRingRotatesWhenIdle(t *testing.T) {
 
 func TestTokenRingSurvivesTokenLoss(t *testing.T) {
 	// 20% loss will drop tokens; regeneration must keep the ring alive.
-	f := newFleet(t, 19, 0.2, buildRing, 3)
+	f := newFleet(t, 19, 0.2, 3)
 	const burst = 10
 	for i := 0; i < burst; i++ {
 		i := i
@@ -213,28 +165,26 @@ func TestTokenRingSurvivesTokenLoss(t *testing.T) {
 }
 
 func TestBaselineDeterminism(t *testing.T) {
-	for name, build := range builders() {
-		t.Run(name, func(t *testing.T) {
-			run := func() []string {
-				f := newFleet(t, 23, 0.05, build, 3)
-				for i := 0; i < 10; i++ {
-					i := i
-					f.net.At(simnet.Time(i)*simnet.Millisecond, func() {
-						_ = f.nodes[ids.ProcessorID(i%3+1)].Multicast(int64(f.net.Now()), []byte(fmt.Sprintf("d%d", i)))
-					})
-				}
-				f.net.RunUntil(30*simnet.Second, f.allDelivered(3, 10))
-				return f.delivered[1]
+	t.Run("tokenring", func(t *testing.T) {
+		run := func() []string {
+			f := newFleet(t, 23, 0.05, 3)
+			for i := 0; i < 10; i++ {
+				i := i
+				f.net.At(simnet.Time(i)*simnet.Millisecond, func() {
+					_ = f.nodes[ids.ProcessorID(i%3+1)].Multicast(int64(f.net.Now()), []byte(fmt.Sprintf("d%d", i)))
+				})
 			}
-			a, b := run(), run()
-			if len(a) != len(b) {
-				t.Fatalf("non-deterministic lengths %d vs %d", len(a), len(b))
+			f.net.RunUntil(30*simnet.Second, f.allDelivered(3, 10))
+			return f.delivered[1]
+		}
+		a, b := run(), run()
+		if len(a) != len(b) {
+			t.Fatalf("non-deterministic lengths %d vs %d", len(a), len(b))
+		}
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("non-deterministic at %d", i)
 			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("non-deterministic at %d", i)
-				}
-			}
-		})
-	}
+		}
+	})
 }

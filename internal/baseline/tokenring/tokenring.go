@@ -7,9 +7,9 @@
 // member that has a message may retransmit it, as in RMP) and token
 // retransmission.
 //
-// Like package sequencer, this is a performance comparator over a static
-// membership for experiments E1/E2/E6; Totem's membership and recovery
-// machinery is out of scope.
+// It is a performance comparator over a static membership for
+// experiments E1/E2; Totem's membership and recovery machinery is out of
+// scope.
 package tokenring
 
 import (
@@ -244,7 +244,7 @@ func (n *Node) HandlePacket(data []byte, now int64) {
 	}
 }
 
-// retainWindow bounds retained delivered messages, as in sequencer.
+// retainWindow bounds retained delivered messages.
 const retainWindow = 8192
 
 func (n *Node) tryDeliver(now int64) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"ftmp/internal/baseline/sequencer"
 	"ftmp/internal/core"
 	"ftmp/internal/harness"
 	"ftmp/internal/ids"
@@ -121,9 +120,8 @@ func TestLeaderModeTotalOrderUnderLoss(t *testing.T) {
 
 // TestOrderModeEquivalence runs one causally-spaced trace — each message
 // multicast only after the previous one has settled everywhere, so every
-// correct total order must equal the send order — through all three
-// ordering implementations: FTMP Lamport mode, FTMP leader mode and the
-// fixed-sequencer baseline. All members of all three systems must
+// correct total order must equal the send order — through both FTMP
+// order modes, Lamport and leader. Every member in both modes must
 // deliver the byte-identical payload order.
 func TestOrderModeEquivalence(t *testing.T) {
 	const n, msgs = 3, 24
@@ -168,68 +166,14 @@ func TestOrderModeEquivalence(t *testing.T) {
 		return got
 	}
 
-	runSequencer := func() []string {
-		net := simnet.New(33, simnet.NewConfig())
-		members := ids.NewMembership(1, 2, 3)
-		const addr = simnet.Addr(900)
-		nodes := make(map[ids.ProcessorID]*sequencer.Node)
-		delivered := make(map[ids.ProcessorID][]string)
-		for _, p := range members {
-			p := p
-			node := sequencer.New(p, members, sequencer.DefaultConfig(),
-				func(data []byte) { net.Send(simnet.NodeID(p), addr, data) },
-				func(_ ids.ProcessorID, b []byte, _ int64) {
-					delivered[p] = append(delivered[p], string(b))
-				})
-			nodes[p] = node
-			net.AddNode(simnet.NodeID(p), simnet.EndpointFunc{
-				OnPacket: func(data []byte, _ simnet.Addr, now int64) { node.HandlePacket(data, now) },
-				OnTick:   func(now int64) { node.Tick(now) },
-			}, simnet.Millisecond)
-			net.Subscribe(simnet.NodeID(p), addr)
-		}
-		net.Run(50 * simnet.Millisecond)
-		for i, payload := range trace {
-			i, payload := i, payload
-			sender := nodes[members[i%n]]
-			net.At(net.Now()+simnet.Time(i)*10*simnet.Millisecond, func() {
-				_ = sender.Multicast(int64(net.Now()), []byte(payload))
-			})
-		}
-		net.RunUntil(30*simnet.Second, func() bool {
-			for _, p := range members {
-				if len(delivered[p]) < msgs {
-					return false
-				}
-			}
-			return true
-		})
-		got := delivered[1]
-		if len(got) < msgs {
-			t.Fatal("sequencer baseline: trace not fully delivered")
-		}
-		for _, p := range members[1:] {
-			for i := range got {
-				if delivered[p][i] != got[i] {
-					t.Fatalf("sequencer baseline: members disagree at %d", i)
-				}
-			}
-		}
-		return got
-	}
-
 	lamport := runFTMP(core.OrderLamport)
 	leader := runFTMP(core.OrderLeader)
-	seq := runSequencer()
 	for i := 0; i < msgs; i++ {
 		if lamport[i] != trace[i] {
 			t.Fatalf("lamport[%d] = %q, want %q", i, lamport[i], trace[i])
 		}
 		if leader[i] != trace[i] {
 			t.Fatalf("leader[%d] = %q, want %q", i, leader[i], trace[i])
-		}
-		if seq[i] != trace[i] {
-			t.Fatalf("sequencer[%d] = %q, want %q", i, seq[i], trace[i])
 		}
 	}
 }

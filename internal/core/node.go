@@ -102,7 +102,7 @@ type Config struct {
 	// Order selects the total-order algorithm: OrderLamport (default) is
 	// the paper's acknowledgment-horizon order; OrderLeader (FTMP 1.3)
 	// has the current view's leader assign a dense delivery sequence,
-	// trading the all-member ack round for a single leader hop (E17).
+	// trading the all-member ack round for a single leader hop (E1, E2).
 	Order OrderMode
 }
 

@@ -9,7 +9,7 @@
 // fixtures (fixtures.go):
 //
 //   - group: an FTMP Cluster of processors 1…n, all in expGroup, each
-//     member's deliveries counted; ordered puts it, the fixed sequencer
+//     member's deliveries counted; ordered puts it, in either order mode,
 //     and the token ring behind one send and one delivery callback, so a
 //     protocol comparison is written once.
 //   - pace: the one paced driver; every open-loop sender, burst sender,
@@ -20,8 +20,8 @@
 //
 // The other files are named for their subject: figures.go (fig2, fig3),
 // ordering.go (E1 E2 E3 E5 E6 E9 E12 A1 A2 A3), corba.go (E7 E8),
-// recovery.go (E4 E10 E13 E15b), durability.go (E11 E15a, real disk)
-// and live.go (E17, real UDP and clock).
+// recovery.go (E4 E10 E13 E15b) and durability.go (E11 E15a, real
+// disk).
 package harness
 
 import (

@@ -3,7 +3,6 @@ package harness
 import (
 	"encoding/binary"
 
-	"ftmp/internal/baseline/sequencer"
 	"ftmp/internal/baseline/tokenring"
 	"ftmp/internal/core"
 	"ftmp/internal/ftcorba"
@@ -28,7 +27,7 @@ type Protocol string
 // Comparison protocols.
 const (
 	ProtoFTMP      Protocol = "ftmp"
-	ProtoSequencer Protocol = "sequencer"
+	ProtoLeader    Protocol = "leader" // FTMP under core.OrderLeader
 	ProtoTokenRing Protocol = "tokenring"
 )
 
@@ -111,8 +110,8 @@ func pace(net *simnet.Net, start simnet.Time, count int, gap simnet.Time, fn fun
 }
 
 // ordered is one total-order protocol running on processors 1…n of a
-// simulated network, reduced to what a workload needs of FTMP, the fixed
-// sequencer and the token ring alike: the network (and its clock), the
+// simulated network, reduced to what a workload needs of FTMP (in either
+// order mode) and the token ring alike: the network (and its clock), the
 // membership, a send, and every member's deliveries.
 type ordered struct {
 	net     *simnet.Net
@@ -126,30 +125,27 @@ type ordered struct {
 
 // newOrdered starts proto on processors 1…n of a fresh network.
 func newOrdered(proto Protocol, seed int64, n int, netCfg simnet.Config) *ordered {
-	if proto == ProtoFTMP {
+	switch proto {
+	case ProtoFTMP:
 		return &newGroup(seed, n, netCfg, nil).ordered
+	case ProtoLeader:
+		return &newGroup(seed, n, netCfg, func(_ ids.ProcessorID, cfg *core.Config) { cfg.Order = core.OrderLeader }).ordered
+	case ProtoTokenRing:
+		return newRing(seed, n, netCfg)
 	}
-	type node interface {
-		Multicast(now int64, payload []byte) error
-		HandlePacket(data []byte, now int64)
-		Tick(now int64)
-	}
+	panic("unknown protocol " + string(proto))
+}
+
+// newRing starts the token ring on processors 1…n of a fresh network.
+func newRing(seed int64, n int, netCfg simnet.Config) *ordered {
 	const addr = simnet.Addr(900)
-	nodes := make(map[ids.ProcessorID]node)
+	nodes := make(map[ids.ProcessorID]*tokenring.Node)
 	o := &ordered{net: simnet.New(seed, netCfg), members: procRange(1, n), delivered: make(map[ids.ProcessorID]int)}
 	o.send = func(p ids.ProcessorID, b []byte) { _ = nodes[p].Multicast(int64(o.net.Now()), b) }
 	for _, p := range o.members {
 		transmit := func(data []byte) { o.net.Send(simnet.NodeID(p), addr, data) }
 		deliver := func(_ ids.ProcessorID, b []byte, now int64) { o.deliver(p, b, now) }
-		var nd node
-		switch proto {
-		case ProtoSequencer:
-			nd = sequencer.New(p, o.members, sequencer.DefaultConfig(), transmit, deliver)
-		case ProtoTokenRing:
-			nd = tokenring.New(p, o.members, tokenring.DefaultConfig(), transmit, deliver)
-		default:
-			panic("unknown protocol " + string(proto))
-		}
+		nd := tokenring.New(p, o.members, tokenring.DefaultConfig(), transmit, deliver)
 		nodes[p] = nd
 		o.net.AddNode(simnet.NodeID(p), simnet.EndpointFunc{
 			OnPacket: func(data []byte, _ simnet.Addr, now int64) { nd.HandlePacket(data, now) },

@@ -37,19 +37,20 @@ func runLatency(o *ordered, sender ids.ProcessorID, msgs, size int, interval sim
 }
 
 // E1Latency regenerates experiment E1: delivery latency versus group
-// size for FTMP, the fixed sequencer and the token ring.
+// size for FTMP in Lamport order, FTMP in leader order and the token
+// ring.
 func E1Latency(sizes []int, msgs int) *trace.Table {
 	tb := trace.NewTable(
 		"E1: totally-ordered delivery latency vs group size (ms; send -> delivered at all members)",
-		"n", "ftmp mean", "ftmp p99", "seq mean", "seq p99", "ring mean", "ring p99")
+		"n", "ftmp mean", "ftmp p99", "leader mean", "leader p99", "ring mean", "ring p99")
 	for _, n := range sizes {
 		net := simnet.NewConfig()
 		f := RunLatency(ProtoFTMP, SeedOffset+100+int64(n), n, msgs, 64, 5*simnet.Millisecond, net)
-		s := RunLatency(ProtoSequencer, SeedOffset+100+int64(n), n, msgs, 64, 5*simnet.Millisecond, net)
+		l := RunLatency(ProtoLeader, SeedOffset+100+int64(n), n, msgs, 64, 5*simnet.Millisecond, net)
 		r := RunLatency(ProtoTokenRing, SeedOffset+100+int64(n), n, msgs, 64, 5*simnet.Millisecond, net)
 		tb.AddRow(n,
 			trace.Ms(f.Mean()), trace.Ms(f.Percentile(99)),
-			trace.Ms(s.Mean()), trace.Ms(s.Percentile(99)),
+			trace.Ms(l.Mean()), trace.Ms(l.Percentile(99)),
 			trace.Ms(r.Mean()), trace.Ms(r.Percentile(99)))
 	}
 	return tb
@@ -90,12 +91,12 @@ func RunThroughput(proto Protocol, seed int64, n, msgs, size int, net simnet.Con
 func E2Throughput(sizes []int, msgs int) *trace.Table {
 	tb := trace.NewTable(
 		"E2: ordered throughput vs payload size (n=4, all members sending)",
-		"payload B", "ftmp msg/s", "ftmp MB/s", "seq msg/s", "ring msg/s")
+		"payload B", "ftmp msg/s", "ftmp MB/s", "leader msg/s", "ring msg/s")
 	for _, size := range sizes {
 		f := RunThroughput(ProtoFTMP, SeedOffset+200, 4, msgs, size, simnet.NewConfig())
-		s := RunThroughput(ProtoSequencer, SeedOffset+200, 4, msgs, size, simnet.NewConfig())
+		l := RunThroughput(ProtoLeader, SeedOffset+200, 4, msgs, size, simnet.NewConfig())
 		r := RunThroughput(ProtoTokenRing, SeedOffset+200, 4, msgs, size, simnet.NewConfig())
-		tb.AddRow(size, f.MsgsPerS, f.MBPerS, s.MsgsPerS, r.MsgsPerS)
+		tb.AddRow(size, f.MsgsPerS, f.MBPerS, l.MsgsPerS, r.MsgsPerS)
 	}
 	return tb
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func TestRunLatencyAllProtocols(t *testing.T) {
-	for _, proto := range []Protocol{ProtoFTMP, ProtoSequencer, ProtoTokenRing} {
+	for _, proto := range []Protocol{ProtoFTMP, ProtoLeader, ProtoTokenRing} {
 		h := RunLatency(proto, 1, 3, 5, 64, 5*simnet.Millisecond, simnet.NewConfig())
 		if h.Count() != 5 {
 			t.Errorf("%s: %d samples, want 5", proto, h.Count())
@@ -25,7 +25,7 @@ func TestRunLatencyAllProtocols(t *testing.T) {
 }
 
 func TestRunThroughputAllProtocols(t *testing.T) {
-	for _, proto := range []Protocol{ProtoFTMP, ProtoSequencer, ProtoTokenRing} {
+	for _, proto := range []Protocol{ProtoFTMP, ProtoLeader, ProtoTokenRing} {
 		r := RunThroughput(proto, 2, 4, 80, 128, simnet.NewConfig())
 		if r.MsgsPerS <= 0 {
 			t.Errorf("%s: throughput %v", proto, r.MsgsPerS)

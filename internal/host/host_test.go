@@ -168,11 +168,12 @@ func (n *rawNode) delivered() []string {
 
 const rawGroup = ids.GroupID(100)
 
-func startRaw(t *testing.T, p ids.ProcessorID, fs *wal.MemFS, tr maker) *rawNode {
+func startRaw(t *testing.T, p ids.ProcessorID, order core.OrderMode, fs *wal.MemFS, tr maker) *rawNode {
 	t.Helper()
 	n := &rawNode{fs: fs}
 	hc := host.Config{Transport: tr}
 	hc.Core = core.DefaultConfig(p)
+	hc.Core.Order = order
 	hc.Core.PGMP.SuspectTimeout = int64(time.Second)
 	hc.FS, hc.Policy = fs, wal.SyncAlways
 	hc.Group, hc.Members = rawGroup, ids.NewMembership(1, 2, 3)
@@ -205,13 +206,19 @@ func multicast(t *testing.T, n *rawNode, payload string) {
 }
 
 // TestRawHostResumesFromItsLog pins what ftmpd does without -serve or
-// -iiop: a raw host restarted on its log replays its deliveries in
-// order and resumes the group at its last logged view.
+// -iiop, in either order mode: a raw host restarted on its log replays
+// its deliveries in order and resumes the group at its last logged view.
 func TestRawHostResumesFromItsLog(t *testing.T) {
+	for _, order := range []core.OrderMode{core.OrderLamport, core.OrderLeader} {
+		t.Run(order.String(), func(t *testing.T) { rawHostResumes(t, order) })
+	}
+}
+
+func rawHostResumes(t *testing.T, order core.OrderMode) {
 	tr := host.Loopback()
 	nodes := map[ids.ProcessorID]*rawNode{}
 	for p := ids.ProcessorID(1); p <= 3; p++ {
-		nodes[p] = startRaw(t, p, wal.NewMemFS(), tr)
+		nodes[p] = startRaw(t, p, order, wal.NewMemFS(), tr)
 	}
 	for i := 0; i < 5; i++ {
 		multicast(t, nodes[1], fmt.Sprint("m", i))
@@ -245,7 +252,7 @@ func TestRawHostResumesFromItsLog(t *testing.T) {
 	// Both restart on their logs.
 	tr = host.Loopback()
 	for _, p := range two {
-		nodes[p] = startRaw(t, p, nodes[p].fs, tr)
+		nodes[p] = startRaw(t, p, order, nodes[p].fs, tr)
 		defer nodes[p].h.Close()
 		if fmt.Sprint(nodes[p].replay) != fmt.Sprint(want) {
 			t.Errorf("P%d replayed %v, want %v", p, nodes[p].replay, want)

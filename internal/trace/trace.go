@@ -90,14 +90,6 @@ func (h *Histogram) Stddev() float64 {
 	return math.Sqrt(sum / float64(len(h.samples)))
 }
 
-// P50, P95, P99 and P999 name the quantiles the experiment tables and
-// BENCH files report; all delegate to Percentile, so every harness uses
-// the same (interpolating) definition.
-func (h *Histogram) P50() float64  { return h.Percentile(50) }
-func (h *Histogram) P95() float64  { return h.Percentile(95) }
-func (h *Histogram) P99() float64  { return h.Percentile(99) }
-func (h *Histogram) P999() float64 { return h.Percentile(99.9) }
-
 // Summary formats mean/p50/p99 in milliseconds, the form the experiment
 // tables use.
 func (h *Histogram) Summary() string {
